@@ -1,5 +1,7 @@
 #include "cnf/dimacs.hpp"
 
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -38,6 +40,10 @@ ParseResult parse_dimacs(std::istream& in) {
       std::string p, fmt;
       hs >> p >> fmt >> declared_vars >> declared_clauses;
       if (!hs || fmt != "cnf") return fail(line_no, "malformed 'p cnf' header");
+      if (declared_vars > static_cast<std::size_t>(INT_MAX)) {
+        return fail(line_no, "variable count " + std::to_string(declared_vars) +
+                                 " exceeds the DIMACS literal range");
+      }
       saw_header = true;
       formula = CnfFormula(declared_vars);
       continue;
@@ -50,7 +56,10 @@ ParseResult parse_dimacs(std::istream& in) {
         formula.add_clause_dimacs(pending);
         pending.clear();
       } else {
-        if (static_cast<std::size_t>(std::abs(lit)) > declared_vars) {
+        // Widen before negating: INT_MIN has no int magnitude.
+        const std::int64_t magnitude =
+            lit < 0 ? -static_cast<std::int64_t>(lit) : lit;
+        if (static_cast<std::uint64_t>(magnitude) > declared_vars) {
           return fail(line_no, "literal " + std::to_string(lit) +
                                    " exceeds declared variable count");
         }

@@ -1,19 +1,22 @@
 #include "solver/simplify.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <numeric>
 
 namespace ns::solver {
 namespace {
 
-/// Hash for sorted clauses (used for duplicate detection).
-struct ClauseHash {
-  std::size_t operator()(const Clause& c) const noexcept {
-    std::size_t h = 0x9e3779b97f4a7c15ull;
-    for (const Lit l : c) h = h * 1099511628211ull ^ l.code();
-    return h;
-  }
-};
+/// End of a clause chain in the occurrence index.
+constexpr std::uint32_t kNoClause = UINT32_MAX;
+
+/// 64-bit literal-set signature: one bit per literal code mod 64, so
+/// small ⊆ big implies (signature(small) & ~signature(big)) == 0.
+std::uint64_t signature(const Clause& c) {
+  std::uint64_t sig = 0;
+  for (const Lit l : c) sig |= std::uint64_t{1} << (l.code() & 63u);
+  return sig;
+}
 
 /// True when `small` subsumes `big` (both sorted): small ⊆ big.
 bool subsumes(const Clause& small, const Clause& big) {
@@ -58,44 +61,45 @@ SimplifyResult simplify(const CnfFormula& input,
     changed = false;
 
     // 1. Strip falsified literals, drop satisfied clauses, find units.
-    std::vector<Clause> next;
-    next.reserve(clauses.size());
-    for (Clause& c : clauses) {
+    // Survivors are compacted in place, each keeping its relative order.
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < clauses.size(); ++i) {
+      Clause& c = clauses[i];
       bool satisfied = false;
-      Clause reduced;
-      reduced.reserve(c.size());
+      std::size_t size = 0;
       for (const Lit l : c) {
         const LBool v = lit_value(l);
         if (v == LBool::kTrue) {
           satisfied = true;
           break;
         }
-        if (v == LBool::kUndef) reduced.push_back(l);
+        if (v == LBool::kUndef) c[size++] = l;
       }
       if (satisfied) {
         ++result.removed_clauses;
         changed = true;
         continue;
       }
-      result.removed_literals += c.size() - reduced.size();
-      if (reduced.size() != c.size()) changed = true;
-      if (reduced.empty()) {
+      result.removed_literals += c.size() - size;
+      if (size != c.size()) changed = true;
+      if (size == 0) {
         contradiction = true;
-        next.push_back(std::move(reduced));
         break;
       }
-      if (reduced.size() == 1) {
-        const Lit unit = reduced[0];
+      if (size == 1) {
+        const Lit unit = c[0];
         value[unit.var()] = to_lbool(!unit.negated());
         ++result.fixed_units;
         ++result.removed_clauses;
         changed = true;
         continue;  // the unit is recorded in `fixed`, not kept as a clause
       }
-      next.push_back(std::move(reduced));
+      c.resize(size);
+      if (live != i) clauses[live] = std::move(c);
+      ++live;
     }
-    clauses = std::move(next);
     if (contradiction) break;
+    clauses.resize(live);
 
     // 2. Pure-literal elimination over the remaining clauses.
     if (!options.pure_literals) continue;
@@ -115,52 +119,61 @@ SimplifyResult simplify(const CnfFormula& input,
     }
   }
 
-  if (!contradiction) {
-    // 3. Duplicate removal, then forward subsumption (sorted by size so a
-    // clause can only be subsumed by an earlier, not-larger one).
-    // NS_SUPPRESS(unordered-iteration): membership-only — the set is only
-    // probed via insert().second; the surviving clauses are carried in
-    // `deduped`, which preserves the deterministic input order.
-    std::unordered_set<Clause, ClauseHash> unique;
-    std::vector<Clause> deduped;
-    deduped.reserve(clauses.size());
-    for (Clause& c : clauses) {
-      if (unique.insert(c).second) {
-        deduped.push_back(std::move(c));
-      } else {
-        ++result.removed_clauses;
-      }
-    }
-    std::stable_sort(deduped.begin(), deduped.end(),
-                     [](const Clause& a, const Clause& b) {
-                       return a.size() < b.size();
-                     });
-    std::vector<Clause> kept;
-    kept.reserve(deduped.size());
-    for (Clause& c : deduped) {
-      bool is_subsumed = false;
-      for (const Clause& k : kept) {
-        if (k.size() > c.size()) break;  // kept is size-sorted
-        if (subsumes(k, c)) {
-          is_subsumed = true;
-          break;
-        }
-      }
-      if (is_subsumed) {
-        ++result.removed_clauses;
-      } else {
-        kept.push_back(std::move(c));
-      }
-    }
-    clauses = std::move(kept);
-  }
-
   result.consistent = !contradiction;
   result.formula = CnfFormula(n);
   if (contradiction) {
     result.formula.add_clause({});
-  } else {
-    for (Clause& c : clauses) result.formula.add_clause(std::move(c));
+    return result;
+  }
+
+  // 3. Forward subsumption over one-watch occurrence lists. Clauses are
+  // visited in stable size order, so a clause can only be subsumed by an
+  // earlier, not-larger one; a repeated clause is subsumed by its first
+  // copy, or by whatever subsumed that copy. Each kept clause is chained
+  // under its least frequent literal (head per literal, link per clause):
+  // a kept k ⊆ c is chained under a literal of c, so walking the chains of
+  // c's own literals meets every candidate subsumer.
+  std::vector<std::uint32_t> order(clauses.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return clauses[a].size() < clauses[b].size();
+                   });
+  std::vector<std::uint32_t> occurrences(2 * n, 0);
+  for (const Clause& c : clauses) {
+    for (const Lit l : c) ++occurrences[l.code()];
+  }
+  std::vector<std::uint32_t> head(2 * n, kNoClause);
+  std::vector<std::uint32_t> next(clauses.size(), kNoClause);
+  std::vector<std::uint64_t> sig(clauses.size(), 0);
+  std::size_t num_kept = 0;
+  for (const std::uint32_t i : order) {
+    const Clause& c = clauses[i];
+    const std::uint64_t c_sig = signature(c);
+    bool is_subsumed = false;
+    for (std::size_t j = 0; j < c.size() && !is_subsumed; ++j) {
+      for (std::uint32_t k = head[c[j].code()]; k != kNoClause; k = next[k]) {
+        if ((sig[k] & ~c_sig) == 0 && subsumes(clauses[k], c)) {
+          is_subsumed = true;
+          break;
+        }
+      }
+    }
+    if (is_subsumed) {
+      ++result.removed_clauses;
+      continue;
+    }
+    Lit watch = c[0];
+    for (const Lit l : c) {
+      if (occurrences[l.code()] < occurrences[watch.code()]) watch = l;
+    }
+    sig[i] = c_sig;
+    next[i] = head[watch.code()];
+    head[watch.code()] = i;
+    order[num_kept++] = i;  // survivors, in visit order, behind the scan
+  }
+  for (std::size_t j = 0; j < num_kept; ++j) {
+    result.formula.add_clause(std::move(clauses[order[j]]));
   }
   return result;
 }

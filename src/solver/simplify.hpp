@@ -3,7 +3,7 @@
 /// Root-level preprocessing, independent of the CDCL engine:
 ///   - unit propagation to fixpoint (fixes variables, shortens clauses)
 ///   - pure-literal elimination (variables with one polarity are fixed)
-///   - duplicate-clause removal and forward subsumption
+///   - forward subsumption, which also removes duplicate clauses
 ///
 /// The output is an equisatisfiable formula over the SAME variable
 /// universe, plus the root-level assignments discovered; a model of the

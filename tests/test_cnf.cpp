@@ -157,8 +157,29 @@ TEST(DimacsTest, RejectsDuplicateHeader) {
 }
 
 TEST(DimacsTest, RejectsOutOfRangeLiteral) {
-  const ParseResult r = parse_dimacs_string("p cnf 2 1\n3 0\n");
+  // |-2147483648| is one past the largest declarable variable count, so it
+  // is out of range under any header.
+  for (const char* text : {"p cnf 2 1\n3 0\n", "p cnf 3 1\n1 -2147483648 0\n",
+                           "p cnf 2147483647 1\n1 -2147483648 0\n"}) {
+    const ParseResult r = parse_dimacs_string(text);
+    EXPECT_FALSE(r.ok) << text;
+    EXPECT_EQ(r.line, 2u) << text;
+  }
+}
+
+TEST(DimacsTest, RejectsVariableCountBeyondLiteralRange) {
+  const ParseResult r =
+      parse_dimacs_string("c too many variables\np cnf 3000000000 1\n1 0\n");
   EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.line, 2u);
+  EXPECT_NE(r.error.find("3000000000"), std::string::npos) << r.error;
+
+  // The largest count, and its largest literal, still parse.
+  const ParseResult max =
+      parse_dimacs_string("p cnf 2147483647 1\n-2147483647 1 0\n");
+  ASSERT_TRUE(max.ok) << max.error;
+  ASSERT_EQ(max.formula.num_clauses(), 1u);
+  EXPECT_EQ(max.formula.clause(0).back(), Lit(2147483646u, true));
 }
 
 TEST(DimacsTest, RejectsGarbageToken) {

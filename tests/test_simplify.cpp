@@ -1,12 +1,52 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <iterator>
+
 #include "brute_force.hpp"
 #include "gen/generators.hpp"
+#include "simplify_corpus.hpp"
 #include "solver/simplify.hpp"
 #include "solver/solver.hpp"
 
 namespace ns::solver {
 namespace {
+
+const testing::SimplifyGolden kSimplifyGolden[] = {
+#include "golden_simplify.inc"
+};
+
+/// A clause from DIMACS literals, sorted the way CnfFormula stores it.
+Clause dimacs_clause(std::initializer_list<int> lits) {
+  Clause c;
+  for (const int l : lits) c.push_back(Lit::from_dimacs(l));
+  std::sort(c.begin(), c.end());
+  return c;
+}
+
+CnfFormula dimacs_formula(std::size_t num_vars,
+                          std::initializer_list<Clause> clauses) {
+  CnfFormula f(num_vars);
+  for (const Clause& c : clauses) f.add_clause(c);
+  return f;
+}
+
+/// Checks the exact surviving clauses, in order, and the exact removal
+/// count under both pure-literal settings (the callers keep every variable
+/// impure and unit-free, so the two settings must agree).
+void expect_survivors(const CnfFormula& f, const std::vector<Clause>& kept,
+                      std::size_t removed) {
+  for (const bool pure : {false, true}) {
+    SimplifyOptions options;
+    options.pure_literals = pure;
+    const SimplifyResult r = simplify(f, options);
+    EXPECT_TRUE(r.consistent) << "pure_literals=" << pure;
+    EXPECT_EQ(r.formula.clauses(), kept) << "pure_literals=" << pure;
+    EXPECT_EQ(r.removed_clauses, removed) << "pure_literals=" << pure;
+    EXPECT_EQ(r.fixed_units + r.fixed_pures, 0u) << "pure_literals=" << pure;
+  }
+}
 
 TEST(SimplifyTest, UnitPropagationFixesChain) {
   // x0 ; x0 -> x1 ; x1 -> x2 : everything is fixed, no clauses remain.
@@ -45,17 +85,59 @@ TEST(SimplifyTest, PureLiteralsEliminated) {
 }
 
 TEST(SimplifyTest, DuplicatesAndSubsumedClausesRemoved) {
-  CnfFormula f(4);
-  // Keep variables impure so pure-literal elimination stays out of the way.
-  f.add_clause({Lit(0, false), Lit(1, false)});
-  f.add_clause({Lit(1, false), Lit(0, false)});            // duplicate
-  f.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});  // subsumed
-  f.add_clause({Lit(0, true), Lit(1, true), Lit(2, true), Lit(3, false)});
-  f.add_clause({Lit(2, true), Lit(3, true)});
-  const SimplifyResult r = simplify(f);
-  EXPECT_TRUE(r.consistent);
-  EXPECT_EQ(r.formula.num_clauses(), 3u);
-  EXPECT_GE(r.removed_clauses, 2u);
+  // Every variable stays impure so pure-literal elimination stays out of
+  // the way; survivors come out in stable size order.
+  expect_survivors(dimacs_formula(4, {
+                       dimacs_clause({1, 2}),
+                       dimacs_clause({2, 1}),     // duplicate
+                       dimacs_clause({1, 2, 3}),  // subsumed
+                       dimacs_clause({-1, -2, -3, 4}),
+                       dimacs_clause({-3, -4}),
+                   }),
+                   {dimacs_clause({1, 2}), dimacs_clause({-3, -4}),
+                    dimacs_clause({-1, -2, -3, 4})},
+                   2);
+
+  // A clause that appears three times is kept once.
+  const Clause t = dimacs_clause({1, 2, 3});
+  expect_survivors(
+      dimacs_formula(3, {t, t, dimacs_clause({-1, -2}), t,
+                         dimacs_clause({-3, 1})}),
+      {dimacs_clause({-1, -2}), dimacs_clause({1, -3}), t}, 2);
+
+  // A duplicate pair subsumed by a shorter clause that comes before,
+  // between or after the pair: each copy is dropped exactly once.
+  const Clause s = dimacs_clause({1, 2});
+  const Clause d = dimacs_clause({1, 2, 3});
+  const Clause n1 = dimacs_clause({-1, -3});
+  const Clause n2 = dimacs_clause({-2, 3});
+  for (const CnfFormula& f : {dimacs_formula(3, {s, d, d, n1, n2}),
+                              dimacs_formula(3, {d, s, d, n1, n2}),
+                              dimacs_formula(3, {d, d, s, n1, n2})}) {
+    expect_survivors(f, {s, n1, n2}, 2);
+  }
+}
+
+// The simplifier must reproduce, row for row, what the seed simplifier
+// produced on the simplify corpus: the verdict, the counters, and `fixed`
+// plus the surviving clauses in order (through their digest).
+TEST(SimplifyTest, MatchesGolden) {
+  const auto instances = testing::simplify_instances();
+  ASSERT_EQ(std::size(kSimplifyGolden), 2 * instances.size());
+  for (const testing::SimplifyGolden& g : kSimplifyGolden) {
+    ASSERT_LT(g.instance, instances.size());
+    SimplifyOptions options;
+    options.pure_literals = g.pure_literals;
+    const SimplifyResult r = simplify(instances[g.instance].second, options);
+    const std::string where = instances[g.instance].first +
+                              " pure_literals=" + (g.pure_literals ? "1" : "0");
+    EXPECT_EQ(r.consistent, g.consistent) << where;
+    EXPECT_EQ(r.fixed_units, g.fixed_units) << where;
+    EXPECT_EQ(r.fixed_pures, g.fixed_pures) << where;
+    EXPECT_EQ(r.removed_clauses, g.removed_clauses) << where;
+    EXPECT_EQ(r.removed_literals, g.removed_literals) << where;
+    EXPECT_EQ(testing::simplify_digest(r), g.digest) << where;
+  }
 }
 
 TEST(SimplifyTest, CompleteModelOverlaysFixedValues) {
