@@ -1,17 +1,19 @@
 /// \file bench_inference_latency.cpp
-/// Single-instance inference latency of the program/executor split, and
-/// the allocation-free steady-state contract behind it.
+/// Inference latency of the program/executor split, one instance at a time
+/// and as a packed batch, and the allocation-free steady-state contract
+/// behind both.
 ///
-/// For every Table-2 classifier the bench records one instance's forward
-/// program into an `InferenceSession`, warms it up, then (a) counts global
-/// operator-new calls across a window of repeated predictions — the
+/// For every Table-2 classifier the bench records the 16 instances of
+/// `generate_split(2022, 16, 5)` (bench_parallel_scaling's classify_batch
+/// workload) two ways: as 16 one-graph `InferenceSession`s — the per-query
+/// deployment shape — and as one `InferenceSession` over their
+/// block-diagonal `PackedGraphs`. A pass predicts all 16 graphs (16 single
+/// predictions, or one batch prediction). After warm-up passes, each path
+/// (a) counts global operator-new calls across a window of passes — the
 /// liveness-planned workspace must make that count exactly zero with a
-/// single-thread kernel pool — and (b) reports p50/p99 per-call latency.
-/// The same contract is then checked on the packed batch path: a
-/// `BatchedInferenceSession` over a 16-instance block-diagonal batch must
-/// also run its prediction window with zero operator-new calls
-/// (`*_batch16_steady_allocs`), and its per-call latency lands in
-/// `*_batch16_p50`. Results land in BENCH_inference_latency.json;
+/// single-thread kernel pool — and (b) reports the per-graph p50/p99, i.e.
+/// pass latency / 16, so the `*_single_*` and `*_batch16_*` rows compare
+/// the same work. Results land in BENCH_inference_latency.json;
 /// `steady_allocs` entries carry the allocation count in the wall_ms field
 /// (0 expected). The process exits non-zero if any model allocates in
 /// steady state, so the contract is checkable in CI.
@@ -21,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -57,16 +60,48 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::size_t kWarmup = 8;
-constexpr std::size_t kAllocWindow = 64;
-constexpr std::size_t kLatencyReps = 200;
-constexpr std::size_t kBatchLatencyReps = 50;
+constexpr std::size_t kWarmupPasses = 4;
+constexpr std::size_t kAllocPasses = 16;
+constexpr std::size_t kLatencyPasses = 50;
 
 double percentile(std::vector<double> sorted_ms, double p) {
   std::sort(sorted_ms.begin(), sorted_ms.end());
   const std::size_t idx = static_cast<std::size_t>(
       p * static_cast<double>(sorted_ms.size() - 1) + 0.5);
   return sorted_ms[idx];
+}
+
+/// Allocation window and per-graph latency of one inference path. `pass`
+/// predicts every graph once and returns a checksum term.
+template <typename Pass>
+bool measure(ns::bench::BenchJson& json, const std::string& row,
+             std::size_t graphs, const Pass& pass, float& sink) {
+  for (std::size_t i = 0; i < kWarmupPasses; ++i) sink += pass();
+
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kAllocPasses; ++i) sink += pass();
+  const std::size_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+
+  std::vector<double> ms;
+  ms.reserve(kLatencyPasses);
+  for (std::size_t i = 0; i < kLatencyPasses; ++i) {
+    const auto t0 = Clock::now();
+    sink += pass();
+    const auto t1 = Clock::now();
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count() /
+                 static_cast<double>(graphs));
+  }
+  const double p50 = percentile(ms, 0.50);
+  const double p99 = percentile(ms, 0.99);
+
+  json.record(row + "_per_graph_p50", 1, p50);
+  json.record(row + "_per_graph_p99", 1, p99);
+  json.record(row + "_steady_allocs", 1, static_cast<double>(allocs));
+  std::printf(
+      "%-34s per graph p50 %8.4f ms  p99 %8.4f ms  steady-state allocs %zu\n",
+      row.c_str(), p50, p99, allocs);
+  return allocs == 0;
 }
 
 }  // namespace
@@ -76,21 +111,16 @@ int main() {
   // kernel path (multi-thread fan-out allocates inside pool dispatch).
   ns::runtime::set_global_thread_count(1);
 
-  const ns::nn::GraphBatch g =
-      ns::nn::GraphBatch::build(ns::gen::random_ksat(60, 252, 3, 2024));
-
-  // Packed 16-instance batch (same split as bench_parallel_scaling's
-  // classify_batch workload) for the batched steady-state check.
   const std::vector<ns::gen::NamedInstance> split =
       ns::gen::generate_split(2022, 16, 5);
-  std::vector<ns::nn::GraphBatch> batch_graphs;
-  batch_graphs.reserve(split.size());
+  std::vector<ns::nn::GraphBatch> graphs;
+  graphs.reserve(split.size());
   for (const ns::gen::NamedInstance& inst : split) {
-    batch_graphs.push_back(ns::nn::GraphBatch::build(inst.formula));
+    graphs.push_back(ns::nn::GraphBatch::build(inst.formula));
   }
-  std::vector<const ns::nn::GraphBatch*> batch_ptrs;
-  for (const ns::nn::GraphBatch& bg : batch_graphs) batch_ptrs.push_back(&bg);
-  const ns::nn::PackedGraphs packed = ns::nn::PackedGraphs::build(batch_ptrs);
+  std::vector<const ns::nn::GraphBatch*> graph_ptrs;
+  for (const ns::nn::GraphBatch& g : graphs) graph_ptrs.push_back(&g);
+  const ns::nn::PackedGraphs packed = ns::nn::PackedGraphs::build(graph_ptrs);
 
   struct Row {
     const char* name;
@@ -110,73 +140,26 @@ int main() {
 
   for (const Row& row : rows) {
     auto model = ns::nn::make_classifier(row.kind, 7);
-    ns::nn::InferenceSession session(*model, g);
 
-    for (std::size_t i = 0; i < kWarmup; ++i) {
-      sink += session.predict_probability();
+    std::vector<std::unique_ptr<ns::nn::InferenceSession>> singles;
+    singles.reserve(graphs.size());
+    for (const ns::nn::GraphBatch& g : graphs) {
+      singles.push_back(std::make_unique<ns::nn::InferenceSession>(*model, g));
     }
+    const bool single_ok = measure(
+        json, std::string(row.name) + "_single", graphs.size(),
+        [&] {
+          float s = 0.0f;
+          for (auto& session : singles) s += session->predict_probability();
+          return s;
+        },
+        sink);
 
-    // (a) steady-state allocation count over a prediction window.
-    const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kAllocWindow; ++i) {
-      sink += session.predict_probability();
-    }
-    const std::size_t allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - before;
-    all_zero = all_zero && allocs == 0;
-
-    // (b) per-call latency distribution.
-    std::vector<double> ms;
-    ms.reserve(kLatencyReps);
-    for (std::size_t i = 0; i < kLatencyReps; ++i) {
-      const auto t0 = Clock::now();
-      sink += session.predict_probability();
-      const auto t1 = Clock::now();
-      ms.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    const double p50 = percentile(ms, 0.50);
-    const double p99 = percentile(ms, 0.99);
-
-    json.record(std::string(row.name) + "_p50", 1, p50);
-    json.record(std::string(row.name) + "_p99", 1, p99);
-    json.record(std::string(row.name) + "_steady_allocs", 1,
-                static_cast<double>(allocs));
-    std::printf(
-        "%-24s p50 %8.4f ms  p99 %8.4f ms  steady-state allocs %zu\n",
-        row.name, p50, p99, allocs);
-
-    // Packed batch path: one recorded program over the block-diagonal
-    // 16-instance batch must hold the same zero-allocation contract.
-    ns::nn::BatchedInferenceSession batched(*model, packed);
-    for (std::size_t i = 0; i < kWarmup; ++i) {
-      sink += batched.predict_probabilities()[0];
-    }
-    const std::size_t bbefore = g_alloc_count.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kAllocWindow; ++i) {
-      sink += batched.predict_probabilities()[0];
-    }
-    const std::size_t ballocs =
-        g_alloc_count.load(std::memory_order_relaxed) - bbefore;
-    all_zero = all_zero && ballocs == 0;
-
-    std::vector<double> bms;
-    bms.reserve(kBatchLatencyReps);
-    for (std::size_t i = 0; i < kBatchLatencyReps; ++i) {
-      const auto t0 = Clock::now();
-      sink += batched.predict_probabilities()[0];
-      const auto t1 = Clock::now();
-      bms.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    const double bp50 = percentile(bms, 0.50);
-
-    json.record(std::string(row.name) + "_batch16_p50", 1, bp50);
-    json.record(std::string(row.name) + "_batch16_steady_allocs", 1,
-                static_cast<double>(ballocs));
-    std::printf(
-        "%-24s batch16 p50 %8.4f ms  steady-state allocs %zu\n",
-        row.name, bp50, ballocs);
+    ns::nn::InferenceSession batched(*model, packed);
+    const bool batch_ok = measure(
+        json, std::string(row.name) + "_batch16", graphs.size(),
+        [&] { return batched.predict_probabilities()[0]; }, sink);
+    all_zero = all_zero && single_ok && batch_ok;
   }
 
   if (!json.write()) {

@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <random>
 
 #include "gen/generators.hpp"
@@ -28,7 +29,9 @@ void BM_LinearAttentionForward(benchmark::State& state) {
   // Record once, execute per iteration: what's timed is the attention
   // compute, not graph recording.
   ns::nn::Tape tape;
-  const ns::nn::TensorId out = attn.forward(tape, tape.constant(z));
+  const ns::nn::TensorId out =
+      attn.forward(tape, tape.constant(z),
+                   tape.add_segments({0, static_cast<std::uint32_t>(n)}));
   ns::nn::Executor exec(tape.program(), ns::nn::ExecMode::kInference);
   for (auto _ : state) {
     exec.forward();

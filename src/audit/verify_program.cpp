@@ -29,7 +29,6 @@ Arity arity_of(Op op) {
     case Op::kParam:
       return {false, false};
     case Op::kMatmul:
-    case Op::kMatmulAtB:
     case Op::kAdd:
     case Op::kSub:
     case Op::kHadamard:
@@ -40,16 +39,13 @@ Arity arity_of(Op op) {
     case Op::kSegmentMatmulAtB:
     case Op::kSegmentBlockMatmul:
       return {true, true};
-    case Op::kScale:
     case Op::kAddScalar:
     case Op::kReciprocal:
     case Op::kRelu:
     case Op::kSigmoid:
     case Op::kTanh:
     case Op::kSpmm:
-    case Op::kFrobeniusNormalize:
     case Op::kBroadcastRow:
-    case Op::kMeanRows:
     case Op::kSliceCols:
     case Op::kPermuteRows:
     case Op::kBceWithLogits:
@@ -221,19 +217,6 @@ class ProgramChecker {
         expect_grad(i, va.requires_grad || vb.requires_grad);
         break;
       }
-      case Op::kMatmulAtB: {
-        const Inst& va = at(in.a);
-        const Inst& vb = at(in.b);
-        if (va.rows != vb.rows) {
-          add("ir.operand_shape", i,
-              inst_name(prog_, i) + ": row counts differ: A is " +
-                  shape_str(va.rows, va.cols) + ", B is " +
-                  shape_str(vb.rows, vb.cols));
-        }
-        expect_shape(i, va.cols, vb.cols);
-        expect_grad(i, va.requires_grad || vb.requires_grad);
-        break;
-      }
       case Op::kAdd:
       case Op::kSub:
       case Op::kHadamard: {
@@ -249,13 +232,11 @@ class ProgramChecker {
         expect_grad(i, va.requires_grad || vb.requires_grad);
         break;
       }
-      case Op::kScale:
       case Op::kAddScalar:
       case Op::kReciprocal:
       case Op::kRelu:
       case Op::kSigmoid:
-      case Op::kTanh:
-      case Op::kFrobeniusNormalize: {
+      case Op::kTanh: {
         const Inst& va = at(in.a);
         expect_shape(i, va.rows, va.cols);
         expect_grad(i, va.requires_grad);
@@ -334,16 +315,6 @@ class ProgramChecker {
         }
         expect_shape(i, vx.rows, vx.cols);
         expect_grad(i, vx.requires_grad || vs.requires_grad);
-        break;
-      }
-      case Op::kMeanRows: {
-        const Inst& va = at(in.a);
-        if (va.rows == 0) {
-          add("ir.operand_shape", i,
-              inst_name(prog_, i) + ": input has no rows");
-        }
-        expect_shape(i, 1, va.cols);
-        expect_grad(i, va.requires_grad);
         break;
       }
       case Op::kConcatCols: {

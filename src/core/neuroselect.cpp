@@ -73,12 +73,7 @@ std::vector<PriorityHead> PortfolioSelector::analytic_heads(
 }
 
 PolicySelection PortfolioSelector::select(const CnfFormula& formula) const {
-  float p = 0.5f;
-  if (model_ != nullptr) {
-    const nn::GraphBatch graph = nn::GraphBatch::build(formula);
-    p = model_->predict_probability(graph);
-  }
-  return select_from_probability(p);
+  return select_from_probability(classify_formula(model_, formula));
 }
 
 PolicySelection PortfolioSelector::select_from_probability(float p) const {
@@ -163,11 +158,7 @@ std::vector<PriorityHead> train_priority_heads(
   std::vector<std::array<float, 3>> features(train.size());
   std::vector<std::vector<float>> targets(train.size());
   for (std::size_t i = 0; i < train.size(); ++i) {
-    float p = 0.5f;
-    if (model != nullptr) {
-      const nn::GraphBatch graph = nn::GraphBatch::build(train[i].formula);
-      p = model->predict_probability(graph);
-    }
+    const float p = classify_formula(model, train[i].formula);
     features[i] = {p, 1.0f - p, 1.0f};
     const PortfolioLabel label = label_portfolio(
         train[i].formula, configs, options.slice_ticks, options.max_ticks);
@@ -205,12 +196,21 @@ std::vector<PriorityHead> train_priority_heads(
   return heads;
 }
 
+float classify_formula(nn::SatClassifier* model, const CnfFormula& formula) {
+  if (model == nullptr || formula.num_vars() == 0 ||
+      formula.num_clauses() == 0) {
+    return 0.5f;
+  }
+  const nn::GraphBatch graph = nn::GraphBatch::build(formula);
+  return model->predict_probability(graph);
+}
+
 std::vector<float> classify_batch(
     nn::SatClassifier& model,
     const std::vector<const nn::GraphBatch*>& batch) {
   if (batch.empty()) return {};
   const nn::PackedGraphs packed = nn::PackedGraphs::build(batch);
-  nn::BatchedInferenceSession session(model, packed);
+  nn::InferenceSession session(model, packed);
   return session.predict_probabilities();
 }
 
@@ -240,8 +240,7 @@ InstanceRun run_instance(nn::SatClassifier* model,
     // reported inference_seconds and never a decision; the policy choice
     // below depends solely on the deterministic model output p.
     const auto t0 = std::chrono::steady_clock::now();
-    const nn::GraphBatch graph = nn::GraphBatch::build(inst.formula);
-    const float p = model->predict_probability(graph);
+    const float p = classify_formula(model, inst.formula);
     // NS_SUPPRESS(randomness): measurement only (see t0 above).
     const auto t1 = std::chrono::steady_clock::now();
     run.inference_seconds =

@@ -105,7 +105,7 @@ class PortfolioSelector {
   static std::vector<PriorityHead> analytic_heads(
       const std::vector<solver::SolverOptions>& configs);
 
-  /// One inference on `formula`, then `select_from_probability`.
+  /// `classify_formula(model, formula)`, then `select_from_probability`.
   PolicySelection select(const CnfFormula& formula) const;
 
   /// Deterministic ranking core: scores every config head at probability
@@ -159,6 +159,12 @@ std::vector<PriorityHead> train_priority_heads(
     nn::SatClassifier* model, const std::vector<gen::NamedInstance>& train,
     const std::vector<solver::SolverOptions>& configs,
     const PriorityTrainOptions& options = {});
+
+/// P(label == 1) from one inference of `model` on `formula`. A null model,
+/// or a formula with no variables or no clauses (its graph has no rows to
+/// pool), skips inference and returns 0.5 — the selector's model-free
+/// fallback.
+float classify_formula(nn::SatClassifier* model, const CnfFormula& formula);
 
 /// P(label == 1) for every graph in `batch`. The batch is packed into one
 /// block-diagonal `PackedGraphs` and evaluated through a single recorded

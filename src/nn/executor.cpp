@@ -34,6 +34,22 @@ void for_each_output_row(std::size_t rows, std::size_t total_ops,
   runtime::global_pool().parallel_for(rows, body);
 }
 
+/// Rows [r0, r1) of `m`: `m` itself when they cover it (a one-segment
+/// program), otherwise a copy in `tmp`.
+const Matrix& row_block(const Matrix& m, std::size_t r0, std::size_t r1,
+                        Matrix& tmp) {
+  if (r0 == 0 && r1 == m.rows()) return m;
+  tmp = Matrix(r1 - r0, m.cols());
+  std::copy(m.data() + r0 * m.cols(), m.data() + r1 * m.cols(), tmp.data());
+  return tmp;
+}
+
+/// Rows [r0, r0 + src.rows()) of `dst` += src, one addition per element.
+void add_rows(Matrix& dst, std::size_t r0, const Matrix& src) {
+  float* d = dst.data() + r0 * dst.cols();
+  for (std::size_t k = 0; k < src.size(); ++k) d[k] += src.data()[k];
+}
+
 }  // namespace
 
 Executor::Executor(const Program& prog, ExecMode mode)
@@ -115,7 +131,6 @@ void Executor::plan() {
   for (std::size_t s = 0; s < slot_cap.size(); ++s) {
     slots_[s].reserve(slot_cap[s]);
   }
-  scratch_.assign(n, 0.0f);
   seg_scratch_.assign(n, {});
   for (std::int32_t i = 0; i < n; ++i) {
     if (insts[i].op == Op::kSegmentFrobeniusNormalize) {
@@ -226,9 +241,6 @@ void Executor::forward() {
       case Op::kMatmul:
         matmul_into(value_of(in.a), value_of(in.b), out_of(i));
         break;
-      case Op::kMatmulAtB:
-        matmul_at_b_into(value_of(in.a), value_of(in.b), out_of(i));
-        break;
       case Op::kAdd: {
         const Matrix& va = value_of(in.a);
         const Matrix& vb = value_of(in.b);
@@ -256,15 +268,6 @@ void Executor::forward() {
         if (simd::hadamard(y.data(), va.data(), vb.data(), y.size())) break;
         for (std::size_t k = 0; k < y.size(); ++k) {
           y.data()[k] = va.data()[k] * vb.data()[k];
-        }
-        break;
-      }
-      case Op::kScale: {
-        const Matrix& va = value_of(in.a);
-        Matrix& y = out_of(i);
-        if (simd::scale(y.data(), va.data(), in.f0, y.size())) break;
-        for (std::size_t k = 0; k < y.size(); ++k) {
-          y.data()[k] = va.data()[k] * in.f0;
         }
         break;
       }
@@ -314,17 +317,6 @@ void Executor::forward() {
       case Op::kSpmm:
         in.sparse->multiply_into(value_of(in.a), out_of(i));
         break;
-      case Op::kFrobeniusNormalize: {
-        const Matrix& va = value_of(in.a);
-        const float norm = va.frobenius_norm();
-        scratch_[i] = norm;
-        const float inv = norm > 0.0f ? 1.0f / norm : 0.0f;
-        Matrix& y = out_of(i);
-        for (std::size_t k = 0; k < y.size(); ++k) {
-          y.data()[k] = va.data()[k] * inv;
-        }
-        break;
-      }
       case Op::kAddRowBroadcast: {
         const Matrix& vx = value_of(in.a);
         const Matrix& vb = value_of(in.b);
@@ -373,18 +365,6 @@ void Executor::forward() {
         }
         break;
       }
-      case Op::kMeanRows: {
-        const Matrix& va = value_of(in.a);
-        Matrix& y = out_of(i);
-        y.fill(0.0f);
-        for (std::size_t r = 0; r < va.rows(); ++r) {
-          for (std::size_t c = 0; c < va.cols(); ++c) {
-            y.at(0, c) += va.at(r, c);
-          }
-        }
-        y.scale_in_place(1.0f / static_cast<float>(va.rows()));
-        break;
-      }
       case Op::kConcatCols: {
         const Matrix& va = value_of(in.a);
         const Matrix& vb = value_of(in.b);
@@ -430,10 +410,10 @@ void Executor::forward() {
             pos_weight * target * sp_neg + (1.0f - target) * sp_pos;
         break;
       }
-      // Segmented ops (DESIGN.md §13): each segment replays the exact
-      // per-element float operation order of the corresponding per-graph
-      // op, so a packed batch is bitwise equal to running the blocks one
-      // by one.
+      // Segmented ops (DESIGN.md §13): each segment runs the same
+      // per-element float operations in the same order whatever the other
+      // segments hold, so a packed batch is bitwise equal to running its
+      // graphs one by one as one-segment programs.
       case Op::kSegmentMeanRows: {
         const Matrix& va = value_of(in.a);
         const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
@@ -545,10 +525,14 @@ void Executor::forward() {
 // Backward interpreter
 // ---------------------------------------------------------------------------
 // Same formulas as the eager tape's per-op lambdas, walked in the same
-// reverse order. Nodes with requires_grad == false are skipped entirely —
-// every accumulation into a requires_grad buffer comes from a node that is
-// itself requires_grad, so the skipped work only ever touched buffers the
-// eager tape allocated and then threw away.
+// reverse order. A segmented op applies its one-graph eager op's formula
+// per segment (mean_rows, frobenius_normalize, matmul_at_b, matmul); the
+// two products run the same kernels into a per-segment temporary that is
+// then added into the gradient once per element. Nodes with requires_grad
+// == false are skipped entirely — every accumulation into a requires_grad
+// buffer comes from a node that is itself requires_grad, so the skipped
+// work only ever touched buffers the eager tape allocated and then threw
+// away.
 
 void Executor::backward(TensorId loss) {
   if (mode_ != ExecMode::kTraining) {
@@ -592,15 +576,6 @@ void Executor::backward(TensorId loss) {
           grads_[in.b].add_in_place(matmul_at_b(value_of(in.a), dy));
         }
         break;
-      case Op::kMatmulAtB:
-        // Y = Aᵀ·B: dA += B · dYᵀ ; dB += A · dY
-        if (rg(in.a)) {
-          grads_[in.a].add_in_place(matmul_a_bt(value_of(in.b), dy));
-        }
-        if (rg(in.b)) {
-          grads_[in.b].add_in_place(matmul(value_of(in.a), dy));
-        }
-        break;
       case Op::kAdd:
         if (rg(in.a)) grads_[in.a].add_in_place(dy);
         if (rg(in.b)) grads_[in.b].add_in_place(dy);
@@ -629,13 +604,6 @@ void Executor::backward(TensorId loss) {
           for (std::size_t k = 0; k < dy.size(); ++k) {
             db.data()[k] += dy.data()[k] * va.data()[k];
           }
-        }
-        break;
-      }
-      case Op::kScale: {
-        Matrix& da = grads_[in.a];
-        for (std::size_t k = 0; k < dy.size(); ++k) {
-          da.data()[k] += in.f0 * dy.data()[k];
         }
         break;
       }
@@ -681,23 +649,6 @@ void Executor::backward(TensorId loss) {
           grads_[in.a].add_in_place(in.sparse->transposed().multiply(dy));
         }
         break;
-      case Op::kFrobeniusNormalize: {
-        const float norm = scratch_[i];
-        if (norm == 0.0f) break;
-        const float inv = 1.0f / norm;
-        const Matrix& va = value_of(in.a);
-        // d/dX (X/‖X‖) : dX = dY/‖X‖ − X · (Σ dY∘X) / ‖X‖³
-        double dot = 0.0;
-        for (std::size_t k = 0; k < dy.size(); ++k) {
-          dot += static_cast<double>(dy.data()[k]) * va.data()[k];
-        }
-        const float kf = static_cast<float>(dot) * inv * inv * inv;
-        Matrix& da = grads_[in.a];
-        for (std::size_t k = 0; k < dy.size(); ++k) {
-          da.data()[k] += dy.data()[k] * inv - va.data()[k] * kf;
-        }
-        break;
-      }
       case Op::kAddRowBroadcast: {
         if (rg(in.a)) grads_[in.a].add_in_place(dy);
         if (rg(in.b)) {
@@ -744,17 +695,6 @@ void Executor::backward(TensorId loss) {
           acc += static_cast<double>(dy.data()[k]) * vx.data()[k];
         }
         if (rgs) grads_[in.b].at(0, 0) += static_cast<float>(acc);
-        break;
-      }
-      case Op::kMeanRows: {
-        const float inv =
-            1.0f / static_cast<float>(prog_->inst(in.a).rows);
-        Matrix& da = grads_[in.a];
-        for (std::size_t r = 0; r < da.rows(); ++r) {
-          for (std::size_t c = 0; c < da.cols(); ++c) {
-            da.at(r, c) += dy.at(0, c) * inv;
-          }
-        }
         break;
       }
       case Op::kConcatCols: {
@@ -845,58 +785,38 @@ void Executor::backward(TensorId loss) {
         const Matrix& va = value_of(in.a);
         const Matrix& vb = value_of(in.b);
         const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        const std::size_t dac = va.cols(), dbc = vb.cols();
-        const bool rga = rg(in.a), rgb = rg(in.b);
+        const std::size_t da = va.cols();
+        Matrix ta, tb, tdy;
         for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          for (std::size_t k = off[g]; k < off[g + 1]; ++k) {
-            for (std::size_t ci = 0; ci < dac; ++ci) {
-              const std::size_t yr = g * dac + ci;
-              if (rga) {
-                double acc = 0.0;
-                for (std::size_t j = 0; j < dbc; ++j) {
-                  acc += static_cast<double>(vb.at(k, j)) * dy.at(yr, j);
-                }
-                grads_[in.a].at(k, ci) += static_cast<float>(acc);
-              }
-              if (rgb) {
-                const float aki = va.at(k, ci);
-                if (aki == 0.0f) continue;
-                for (std::size_t j = 0; j < dbc; ++j) {
-                  grads_[in.b].at(k, j) += aki * dy.at(yr, j);
-                }
-              }
-            }
+          const Matrix& dyg = row_block(dy, g * da, (g + 1) * da, tdy);
+          if (rg(in.a)) {
+            add_rows(grads_[in.a], off[g],
+                     matmul_a_bt(row_block(vb, off[g], off[g + 1], tb), dyg));
+          }
+          if (rg(in.b)) {
+            add_rows(grads_[in.b], off[g],
+                     matmul(row_block(va, off[g], off[g + 1], ta), dyg));
           }
         }
         break;
       }
       case Op::kSegmentBlockMatmul: {
         // Row r (segment g): Y[r,:] = A[r,:]·W_g, so
-        // dA[r,:] += dY[r,:]·W_gᵀ ; dW_g += A_gᵀ·dY_g.
+        // dA_g += dY_g·W_gᵀ ; dW_g += A_gᵀ·dY_g.
         const Matrix& va = value_of(in.a);
         const Matrix& vw = value_of(in.b);
         const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        const std::size_t d = va.cols(), dc = vw.cols();
-        const bool rga = rg(in.a), rgw = rg(in.b);
+        const std::size_t d = va.cols();
+        Matrix ta, tw, tdy;
         for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const std::size_t wbase = g * d;
-          for (std::size_t r = off[g]; r < off[g + 1]; ++r) {
-            for (std::size_t k = 0; k < d; ++k) {
-              if (rga) {
-                double acc = 0.0;
-                for (std::size_t j = 0; j < dc; ++j) {
-                  acc += static_cast<double>(dy.at(r, j)) * vw.at(wbase + k, j);
-                }
-                grads_[in.a].at(r, k) += static_cast<float>(acc);
-              }
-              if (rgw) {
-                const float ark = va.at(r, k);
-                if (ark == 0.0f) continue;
-                for (std::size_t j = 0; j < dc; ++j) {
-                  grads_[in.b].at(wbase + k, j) += ark * dy.at(r, j);
-                }
-              }
-            }
+          const Matrix& dyg = row_block(dy, off[g], off[g + 1], tdy);
+          if (rg(in.a)) {
+            add_rows(grads_[in.a], off[g],
+                     matmul_a_bt(dyg, row_block(vw, g * d, (g + 1) * d, tw)));
+          }
+          if (rg(in.b)) {
+            add_rows(grads_[in.b], g * d,
+                     matmul_at_b(row_block(va, off[g], off[g + 1], ta), dyg));
           }
         }
         break;

@@ -434,12 +434,6 @@ inline bool hadamard(float* y, const float* a, const float* b, std::size_t n) {
   return true;
 }
 
-inline bool scale(float* y, const float* x, float s, std::size_t n) {
-  if (!detail::g_enabled) return false;
-  detail::scale_vec(y, x, s, n);
-  return true;
-}
-
 inline bool add_scalar(float* y, const float* x, float s, std::size_t n) {
   if (!detail::g_enabled) return false;
   detail::add_scalar_vec(y, x, s, n);
@@ -484,7 +478,6 @@ inline bool sub(float*, const float*, const float*, std::size_t) {
 inline bool hadamard(float*, const float*, const float*, std::size_t) {
   return false;
 }
-inline bool scale(float*, const float*, float, std::size_t) { return false; }
 inline bool add_scalar(float*, const float*, float, std::size_t) {
   return false;
 }

@@ -23,10 +23,8 @@ std::unique_ptr<Executor> make_verified_executor(const Program& prog,
   return exec;
 }
 
-/// N×1 column whose rows of segment g all hold 1/N_g — the per-segment
-/// counterpart of LinearAttention::forward's scalar `inv_n`. Applied via
-/// row_mul it performs the same single float multiply as the per-graph
-/// kScale, so the packed attention stays bitwise equal per graph.
+/// N×1 column whose rows of segment g all hold 1/N_g: Eq. 9's 1/N per
+/// graph, applied via row_mul as one float multiply per element.
 Matrix segment_inv_count_column(const std::vector<std::uint32_t>& offsets) {
   Matrix m(offsets.back(), 1);
   for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
@@ -98,6 +96,13 @@ GraphBatch GraphBatch::build(const CnfFormula& f) {
   return b;
 }
 
+PackedGraphs::PackedGraphs(const GraphBatch& g)
+    : num_graphs(1),
+      var_offsets{0, static_cast<std::uint32_t>(g.vc.num_vars)},
+      clause_offsets{0, static_cast<std::uint32_t>(g.vc.num_clauses)},
+      lit_offsets{0, static_cast<std::uint32_t>(g.lc.num_lits)},
+      single_(&g) {}
+
 PackedGraphs PackedGraphs::build(const std::vector<const GraphBatch*>& graphs) {
   assert(!graphs.empty());
   PackedGraphs p;
@@ -105,12 +110,11 @@ PackedGraphs PackedGraphs::build(const std::vector<const GraphBatch*>& graphs) {
   p.var_offsets.reserve(graphs.size() + 1);
   p.clause_offsets.reserve(graphs.size() + 1);
   p.lit_offsets.reserve(graphs.size() + 1);
-  p.lclause_offsets.reserve(graphs.size() + 1);
   p.var_offsets.push_back(0);
   p.clause_offsets.push_back(0);
   p.lit_offsets.push_back(0);
-  p.lclause_offsets.push_back(0);
 
+  std::size_t lclauses = 0;
   std::vector<const SparseMatrix*> svc, scv, avc, acv, mlc, mcl;
   for (const GraphBatch* g : graphs) {
     assert(g != nullptr);
@@ -123,9 +127,7 @@ PackedGraphs PackedGraphs::build(const std::vector<const GraphBatch*>& graphs) {
         static_cast<std::uint32_t>(g->vc.num_clauses));
     p.lit_offsets.push_back(
         p.lit_offsets.back() + static_cast<std::uint32_t>(g->lc.num_lits));
-    p.lclause_offsets.push_back(
-        p.lclause_offsets.back() +
-        static_cast<std::uint32_t>(g->lc.num_clauses));
+    lclauses += g->lc.num_clauses;
     svc.push_back(&g->vc.svc);
     scv.push_back(&g->vc.scv);
     avc.push_back(&g->vc.avc);
@@ -134,25 +136,26 @@ PackedGraphs PackedGraphs::build(const std::vector<const GraphBatch*>& graphs) {
     mcl.push_back(&g->lc.mcl);
   }
 
-  p.packed.vc.num_vars = p.var_offsets.back();
-  p.packed.vc.num_clauses = p.clause_offsets.back();
+  GraphBatch& packed = p.owned_;
+  packed.vc.num_vars = p.var_offsets.back();
+  packed.vc.num_clauses = p.clause_offsets.back();
   // The per-graph svc/scv are already mean-normalized; block-diagonal
   // concatenation copies their values verbatim, so the packed operators
   // are exactly the normalized blocks (no renormalization).
-  p.packed.vc.svc = SparseMatrix::block_diagonal(svc);
-  p.packed.vc.scv = SparseMatrix::block_diagonal(scv);
-  p.packed.vc.avc = SparseMatrix::block_diagonal(avc);
-  p.packed.vc.acv = SparseMatrix::block_diagonal(acv);
+  packed.vc.svc = SparseMatrix::block_diagonal(svc);
+  packed.vc.scv = SparseMatrix::block_diagonal(scv);
+  packed.vc.avc = SparseMatrix::block_diagonal(avc);
+  packed.vc.acv = SparseMatrix::block_diagonal(acv);
 
-  p.packed.lc.num_lits = p.lit_offsets.back();
-  p.packed.lc.num_clauses = p.lclause_offsets.back();
-  p.packed.lc.mlc = SparseMatrix::block_diagonal(mlc);
-  p.packed.lc.mcl = SparseMatrix::block_diagonal(mcl);
-  p.packed.lc.flip.reserve(p.lit_offsets.back());
+  packed.lc.num_lits = p.lit_offsets.back();
+  packed.lc.num_clauses = lclauses;
+  packed.lc.mlc = SparseMatrix::block_diagonal(mlc);
+  packed.lc.mcl = SparseMatrix::block_diagonal(mcl);
+  packed.lc.flip.reserve(p.lit_offsets.back());
   for (std::size_t g = 0; g < graphs.size(); ++g) {
     const std::uint32_t base = p.lit_offsets[g];
     for (std::uint32_t f : graphs[g]->lc.flip) {
-      p.packed.lc.flip.push_back(base + f);
+      packed.lc.flip.push_back(base + f);
     }
   }
   return p;
@@ -171,29 +174,18 @@ float SatClassifier::predict_probability(const GraphBatch& g) {
 // InferenceSession
 // ---------------------------------------------------------------------------
 
+// The one-graph batch borrows `g`'s operators, so the temporary PackedGraphs
+// may die after recording: the program binds only `g`.
 InferenceSession::InferenceSession(SatClassifier& model, const GraphBatch& g)
-    : logit_(model.forward_logit(tape_, g)),
-      exec_(make_verified_executor(tape_.program(), ExecMode::kInference)) {}
+    : InferenceSession(model, PackedGraphs(g)) {}
 
-// NS_HOT(per-query inference entry point: one planned forward per predict)
-float InferenceSession::predict_probability() {
-  exec_->forward();
-  const float x = exec_->value(logit_).at(0, 0);
-  return 1.0f / (1.0f + std::exp(-x));
-}
-
-// ---------------------------------------------------------------------------
-// BatchedInferenceSession
-// ---------------------------------------------------------------------------
-
-BatchedInferenceSession::BatchedInferenceSession(SatClassifier& model,
-                                                 const PackedGraphs& p)
-    : logits_(model.forward_logit_batch(tape_, p)),
+InferenceSession::InferenceSession(SatClassifier& model, const PackedGraphs& p)
+    : logits_(model.forward_logits(tape_, p)),
       exec_(make_verified_executor(tape_.program(), ExecMode::kInference)),
       probs_(p.num_graphs, 0.0f) {}
 
-// NS_HOT(batched inference entry point: one block-diagonal forward per round)
-const std::vector<float>& BatchedInferenceSession::predict_probabilities() {
+// NS_HOT(inference entry point: one planned block-diagonal forward per query)
+const std::vector<float>& InferenceSession::predict_probabilities() {
   exec_->forward();
   const Matrix& logits = exec_->value(logits_);
   for (std::size_t g = 0; g < probs_.size(); ++g) {
@@ -248,32 +240,8 @@ void MpnnLayer::collect_parameters(std::vector<Parameter*>& out) {
 LinearAttention::LinearAttention(std::size_t dim, std::mt19937_64& rng)
     : fq_(dim, dim, rng), fk_(dim, dim, rng), fv_(dim, dim, rng) {}
 
-TensorId LinearAttention::forward(Tape& tape, TensorId z) {
+TensorId LinearAttention::forward(Tape& tape, TensorId z, SegmentsId seg) {
   const std::size_t n = tape.rows(z);  // shape metadata; no execution
-  const float inv_n = 1.0f / static_cast<float>(n);
-
-  const TensorId q = tape.frobenius_normalize(fq_.forward(tape, z));
-  const TensorId k = tape.frobenius_normalize(fk_.forward(tape, z));
-  const TensorId v = fv_.forward(tape, z);
-
-  // D = diag(1 + (1/N) Q̃ (K̃ᵀ·1)); computed as an N×1 column.
-  const TensorId ones = tape.constant(Matrix::ones(n, 1));
-  const TensorId kt1 = tape.matmul_at_b(k, ones);          // d×1
-  const TensorId qk1 = tape.matmul(q, kt1);                // N×1
-  const TensorId d = tape.add_scalar(tape.scale(qk1, inv_n), 1.0f);
-  const TensorId d_inv = tape.reciprocal(d);
-
-  // Z_out = D⁻¹ [ V + (1/N) Q̃ (K̃ᵀ V) ].
-  const TensorId kv = tape.matmul_at_b(k, v);              // d×d
-  const TensorId qkv = tape.matmul(q, kv);                 // N×d
-  const TensorId attn = tape.add(v, tape.scale(qkv, inv_n));
-  return tape.row_mul(attn, d_inv);
-}
-
-TensorId LinearAttention::forward_segmented(
-    Tape& tape, TensorId z, SegmentsId seg,
-    const std::vector<std::uint32_t>& offsets) {
-  const std::size_t n = tape.rows(z);
 
   const TensorId q =
       tape.segment_frobenius_normalize(fq_.forward(tape, z), seg);
@@ -283,7 +251,8 @@ TensorId LinearAttention::forward_segmented(
 
   // Per segment g: D_g = diag(1 + (1/N_g) Q̃_g (K̃_gᵀ·1)), stacked N×1.
   const TensorId ones = tape.constant(Matrix::ones(n, 1));
-  const TensorId invn = tape.constant(segment_inv_count_column(offsets));
+  const TensorId invn = tape.constant(
+      segment_inv_count_column(tape.program().segments(seg.idx)));
   const TensorId kt1 = tape.segment_matmul_at_b(k, ones, seg);  // (B·d)×1
   const TensorId qk1 = tape.segment_block_matmul(q, kt1, seg);  // N×1
   const TensorId d = tape.add_scalar(tape.row_mul(qk1, invn), 1.0f);
@@ -317,7 +286,8 @@ HgtLayer::HgtLayer(std::size_t dim, std::size_t mpnn_depth, bool use_attention,
 
 std::pair<TensorId, TensorId> HgtLayer::forward(Tape& tape,
                                                 const VcGraphTensors& g,
-                                                TensorId xv, TensorId xc) {
+                                                TensorId xv, TensorId xc,
+                                                SegmentsId vseg) {
   for (MpnnLayer& layer : mpnn_) {
     std::tie(xv, xc) = layer.forward(tape, g, xv, xc);
   }
@@ -329,23 +299,8 @@ std::pair<TensorId, TensorId> HgtLayer::forward(Tape& tape,
     // optimizer learn how much global context to mix in — the CPU-scale
     // counterpart of SGFormer's GNN+attention combination.
     const TensorId gate = tape.param(&attention_gate_);
-    xv = tape.add(tape.scalar_mul(attention_.forward(tape, xv), gate), xv);
-  }
-  return {xv, xc};
-}
-
-std::pair<TensorId, TensorId> HgtLayer::forward_packed(
-    Tape& tape, const VcGraphTensors& g, TensorId xv, TensorId xc,
-    SegmentsId vseg, const std::vector<std::uint32_t>& var_offsets) {
-  for (MpnnLayer& layer : mpnn_) {
-    std::tie(xv, xc) = layer.forward(tape, g, xv, xc);
-  }
-  if (use_attention_) {
-    const TensorId gate = tape.param(&attention_gate_);
-    xv = tape.add(
-        tape.scalar_mul(
-            attention_.forward_segmented(tape, xv, vseg, var_offsets), gate),
-        xv);
+    xv = tape.add(tape.scalar_mul(attention_.forward(tape, xv, vseg), gate),
+                  xv);
   }
   return {xv, xc};
 }
@@ -376,32 +331,16 @@ NeuroSelectModel::NeuroSelectModel(const NeuroSelectConfig& config)
   head_ = Mlp({config.hidden_dim, config.hidden_dim, 1}, rng);
 }
 
-TensorId NeuroSelectModel::forward_logit(Tape& tape, const GraphBatch& g) {
-  TensorId xv =
-      tape.broadcast_row(tape.param(&var_embed_), g.vc.num_vars);
-  TensorId xc =
-      tape.broadcast_row(tape.param(&clause_embed_), g.vc.num_clauses);
-  for (HgtLayer& layer : layers_) {
-    std::tie(xv, xc) = layer.forward(tape, g.vc, xv, xc);
-  }
-  // Eq. 10: READOUT over variable-node embeddings only.
-  const TensorId pooled = tape.mean_rows(xv);
-  return head_.forward(tape, pooled);
-}
-
-TensorId NeuroSelectModel::forward_logit_batch(Tape& tape,
-                                               const PackedGraphs& p) {
+TensorId NeuroSelectModel::forward_logits(Tape& tape, const PackedGraphs& p) {
+  const VcGraphTensors& g = p.packed().vc;
   const SegmentsId vseg = tape.add_segments(p.var_offsets);
-  TensorId xv =
-      tape.broadcast_row(tape.param(&var_embed_), p.packed.vc.num_vars);
-  TensorId xc =
-      tape.broadcast_row(tape.param(&clause_embed_), p.packed.vc.num_clauses);
+  TensorId xv = tape.broadcast_row(tape.param(&var_embed_), g.num_vars);
+  TensorId xc = tape.broadcast_row(tape.param(&clause_embed_), g.num_clauses);
   for (HgtLayer& layer : layers_) {
-    std::tie(xv, xc) =
-        layer.forward_packed(tape, p.packed.vc, xv, xc, vseg, p.var_offsets);
+    std::tie(xv, xc) = layer.forward(tape, g, xv, xc, vseg);
   }
-  // Per-graph READOUT (Eq. 10): one pooled row per segment; the MLP head
-  // then works row-wise, yielding the B×1 logit column.
+  // Eq. 10: READOUT over variable-node embeddings only, one pooled row per
+  // graph; the MLP head then works row-wise, yielding the B×1 logit column.
   const TensorId pooled = tape.segment_mean_rows(xv, vseg);
   return head_.forward(tape, pooled);
 }
@@ -432,35 +371,17 @@ GinModel::GinModel(std::size_t hidden_dim, std::size_t num_layers,
   head_ = Mlp({2 * hidden_dim, hidden_dim, 1}, rng);
 }
 
-TensorId GinModel::forward_logit(Tape& tape, const GraphBatch& g) {
-  TensorId xv = tape.broadcast_row(tape.param(&var_embed_), g.vc.num_vars);
-  TensorId xc =
-      tape.broadcast_row(tape.param(&clause_embed_), g.vc.num_clauses);
+TensorId GinModel::forward_logits(Tape& tape, const PackedGraphs& p) {
+  const VcGraphTensors& g = p.packed().vc;
+  const SegmentsId vseg = tape.add_segments(p.var_offsets);
+  const SegmentsId cseg = tape.add_segments(p.clause_offsets);
+  TensorId xv = tape.broadcast_row(tape.param(&var_embed_), g.num_vars);
+  TensorId xc = tape.broadcast_row(tape.param(&clause_embed_), g.num_clauses);
   for (GinLayer& layer : layers_) {
     // GIN update: h' = MLP(h + Σ_{u∈N(v)} w_uv h_u)  (sum aggregation,
     // epsilon fixed to 0 as in the GIN-0 variant).
-    const TensorId aggv = tape.spmm(&g.vc.avc, xc);
-    const TensorId aggc = tape.spmm(&g.vc.acv, xv);
-    const TensorId hv = layer.var_mlp.forward(tape, tape.add(xv, aggv));
-    const TensorId hc = layer.clause_mlp.forward(tape, tape.add(xc, aggc));
-    xv = tape.relu(hv);
-    xc = tape.relu(hc);
-  }
-  const TensorId pooled =
-      tape.concat_cols(tape.mean_rows(xv), tape.mean_rows(xc));
-  return head_.forward(tape, pooled);
-}
-
-TensorId GinModel::forward_logit_batch(Tape& tape, const PackedGraphs& p) {
-  const SegmentsId vseg = tape.add_segments(p.var_offsets);
-  const SegmentsId cseg = tape.add_segments(p.clause_offsets);
-  TensorId xv =
-      tape.broadcast_row(tape.param(&var_embed_), p.packed.vc.num_vars);
-  TensorId xc =
-      tape.broadcast_row(tape.param(&clause_embed_), p.packed.vc.num_clauses);
-  for (GinLayer& layer : layers_) {
-    const TensorId aggv = tape.spmm(&p.packed.vc.avc, xc);
-    const TensorId aggc = tape.spmm(&p.packed.vc.acv, xv);
+    const TensorId aggv = tape.spmm(&g.avc, xc);
+    const TensorId aggc = tape.spmm(&g.acv, xv);
     const TensorId hv = layer.var_mlp.forward(tape, tape.add(xv, aggv));
     const TensorId hc = layer.clause_mlp.forward(tape, tape.add(xc, aggc));
     xv = tape.relu(hv);
@@ -500,57 +421,28 @@ NeuroSatModel::NeuroSatModel(std::size_t hidden_dim, std::size_t num_rounds,
   head_ = Mlp({hidden_dim, hidden_dim, 1}, rng);
 }
 
-TensorId NeuroSatModel::forward_logit(Tape& tape, const GraphBatch& g) {
-  const std::size_t n_lits = g.lc.num_lits;
-  const std::size_t n_clauses = g.lc.num_clauses;
+TensorId NeuroSatModel::forward_logits(Tape& tape, const PackedGraphs& p) {
+  const LcGraphTensors& g = p.packed().lc;
+  const SegmentsId lseg = tape.add_segments(p.lit_offsets);
   const std::size_t d = lit_update_.hidden_dim();
 
   LstmCell::State lit_state{
-      tape.broadcast_row(tape.param(&lit_embed_), n_lits),
-      tape.constant(Matrix::zeros(n_lits, d))};
+      tape.broadcast_row(tape.param(&lit_embed_), g.num_lits),
+      tape.constant(Matrix::zeros(g.num_lits, d))};
   LstmCell::State clause_state{
-      tape.broadcast_row(tape.param(&clause_embed_), n_clauses),
-      tape.constant(Matrix::zeros(n_clauses, d))};
+      tape.broadcast_row(tape.param(&clause_embed_), g.num_clauses),
+      tape.constant(Matrix::zeros(g.num_clauses, d))};
 
   for (std::size_t round = 0; round < rounds_; ++round) {
     // Clauses aggregate messages from their literals.
     const TensorId to_clause =
-        tape.spmm(&g.lc.mcl, lit_msg_.forward(tape, lit_state.h));
+        tape.spmm(&g.mcl, lit_msg_.forward(tape, lit_state.h));
     clause_state = clause_update_.forward(tape, to_clause, clause_state);
-    // Literals aggregate from clauses and see their own negation's state.
+    // Literals aggregate from clauses and see their own negation's state;
+    // the flip pairs each literal with its negation inside its own graph.
     const TensorId to_lit =
-        tape.spmm(&g.lc.mlc, clause_msg_.forward(tape, clause_state.h));
-    const TensorId flipped = tape.permute_rows(lit_state.h, g.lc.flip);
-    lit_state = lit_update_.forward(
-        tape, tape.concat_cols(to_lit, flipped), lit_state);
-  }
-  const TensorId pooled = tape.mean_rows(lit_state.h);
-  return head_.forward(tape, pooled);
-}
-
-TensorId NeuroSatModel::forward_logit_batch(Tape& tape,
-                                            const PackedGraphs& p) {
-  const SegmentsId lseg = tape.add_segments(p.lit_offsets);
-  const std::size_t n_lits = p.packed.lc.num_lits;
-  const std::size_t n_clauses = p.packed.lc.num_clauses;
-  const std::size_t d = lit_update_.hidden_dim();
-
-  LstmCell::State lit_state{
-      tape.broadcast_row(tape.param(&lit_embed_), n_lits),
-      tape.constant(Matrix::zeros(n_lits, d))};
-  LstmCell::State clause_state{
-      tape.broadcast_row(tape.param(&clause_embed_), n_clauses),
-      tape.constant(Matrix::zeros(n_clauses, d))};
-
-  for (std::size_t round = 0; round < rounds_; ++round) {
-    const TensorId to_clause =
-        tape.spmm(&p.packed.lc.mcl, lit_msg_.forward(tape, lit_state.h));
-    clause_state = clause_update_.forward(tape, to_clause, clause_state);
-    // The packed flip permutation pairs each literal with its negation
-    // inside its own block, so rows never cross graph boundaries.
-    const TensorId to_lit =
-        tape.spmm(&p.packed.lc.mlc, clause_msg_.forward(tape, clause_state.h));
-    const TensorId flipped = tape.permute_rows(lit_state.h, p.packed.lc.flip);
+        tape.spmm(&g.mlc, clause_msg_.forward(tape, clause_state.h));
+    const TensorId flipped = tape.permute_rows(lit_state.h, g.flip);
     lit_state = lit_update_.forward(
         tape, tape.concat_cols(to_lit, flipped), lit_state);
   }

@@ -21,23 +21,19 @@ const char* op_name(Op op) {
     case Op::kConstant: return "constant";
     case Op::kParam: return "param";
     case Op::kMatmul: return "matmul";
-    case Op::kMatmulAtB: return "matmul_at_b";
     case Op::kAdd: return "add";
     case Op::kSub: return "sub";
     case Op::kHadamard: return "hadamard";
-    case Op::kScale: return "scale";
     case Op::kAddScalar: return "add_scalar";
     case Op::kReciprocal: return "reciprocal";
     case Op::kRelu: return "relu";
     case Op::kSigmoid: return "sigmoid";
     case Op::kTanh: return "tanh";
     case Op::kSpmm: return "spmm";
-    case Op::kFrobeniusNormalize: return "frobenius_normalize";
     case Op::kAddRowBroadcast: return "add_row_broadcast";
     case Op::kBroadcastRow: return "broadcast_row";
     case Op::kRowMul: return "row_mul";
     case Op::kScalarMul: return "scalar_mul";
-    case Op::kMeanRows: return "mean_rows";
     case Op::kConcatCols: return "concat_cols";
     case Op::kSliceCols: return "slice_cols";
     case Op::kPermuteRows: return "permute_rows";
@@ -122,23 +118,6 @@ TensorId Program::matmul(TensorId a, TensorId b) {
   return push(n);
 }
 
-TensorId Program::matmul_at_b(TensorId a, TensorId b) {
-  const Inst& va = operand("matmul_at_b", a);
-  const Inst& vb = operand("matmul_at_b", b);
-  if (va.rows != vb.rows) {
-    fail("matmul_at_b", "row counts differ: A is " + shape_str(va) +
-                            ", B is " + shape_str(vb));
-  }
-  Inst n;
-  n.op = Op::kMatmulAtB;
-  n.requires_grad = va.requires_grad || vb.requires_grad;
-  n.a = a.idx;
-  n.b = b.idx;
-  n.rows = va.cols;
-  n.cols = vb.cols;
-  return push(n);
-}
-
 TensorId Program::add(TensorId a, TensorId b) {
   const Inst& va = operand("add", a);
   const Inst& vb = operand("add", b);
@@ -185,18 +164,6 @@ TensorId Program::hadamard(TensorId a, TensorId b) {
   n.b = b.idx;
   n.rows = va.rows;
   n.cols = va.cols;
-  return push(n);
-}
-
-TensorId Program::scale(TensorId a, float s) {
-  const Inst& va = operand("scale", a);
-  Inst n;
-  n.op = Op::kScale;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  n.f0 = s;
   return push(n);
 }
 
@@ -273,17 +240,6 @@ TensorId Program::spmm(const SparseMatrix* s, TensorId x) {
   return push(n);
 }
 
-TensorId Program::frobenius_normalize(TensorId a) {
-  const Inst& va = operand("frobenius_normalize", a);
-  Inst n;
-  n.op = Op::kFrobeniusNormalize;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  return push(n);
-}
-
 TensorId Program::add_row_broadcast(TensorId x, TensorId bias_row) {
   const Inst& vx = operand("add_row_broadcast", x);
   const Inst& vb = operand("add_row_broadcast", bias_row);
@@ -349,18 +305,6 @@ TensorId Program::scalar_mul(TensorId x, TensorId s) {
   n.b = s.idx;
   n.rows = vx.rows;
   n.cols = vx.cols;
-  return push(n);
-}
-
-TensorId Program::mean_rows(TensorId a) {
-  const Inst& va = operand("mean_rows", a);
-  if (va.rows == 0) fail("mean_rows", "input has no rows");
-  Inst n;
-  n.op = Op::kMeanRows;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = 1;
-  n.cols = va.cols;
   return push(n);
 }
 

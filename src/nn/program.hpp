@@ -19,11 +19,13 @@
 /// eager-style convenience wrapper is `Tape` (tape.hpp).
 ///
 /// The op set is exactly what the paper's models need: dense/sparse matrix
-/// products, elementwise arithmetic and activations, Frobenius
-/// normalization (Eq. 8), row scaling (the D⁻¹ of Eq. 9), broadcasting,
-/// reductions, slicing/concatenation (LSTM gates), row permutation (the
-/// literal-flip of NeuroSAT), and a numerically stable BCE-with-logits
-/// loss (Eq. 11).
+/// products, elementwise arithmetic and activations, row scaling (the D⁻¹
+/// of Eq. 9), broadcasting, slicing/concatenation (LSTM gates), row
+/// permutation (the literal-flip of NeuroSAT), a numerically stable
+/// BCE-with-logits loss (Eq. 11), and the segmented ops — per-graph
+/// readout (Eq. 10), Frobenius normalization (Eq. 8) and the attention
+/// products (Eq. 9) over a block-diagonal batch, one graph being the
+/// one-segment case.
 
 #include <cstdint>
 #include <vector>
@@ -64,23 +66,19 @@ enum class Op : std::uint8_t {
   kConstant,
   kParam,
   kMatmul,
-  kMatmulAtB,
   kAdd,
   kSub,
   kHadamard,
-  kScale,
   kAddScalar,
   kReciprocal,
   kRelu,
   kSigmoid,
   kTanh,
   kSpmm,
-  kFrobeniusNormalize,
   kAddRowBroadcast,
   kBroadcastRow,
   kRowMul,
   kScalarMul,
-  kMeanRows,
   kConcatCols,
   kSliceCols,
   kPermuteRows,
@@ -103,7 +101,7 @@ struct Inst {
   std::int32_t b = -1;
   std::uint32_t rows = 0;  ///< output shape, inferred at recording time
   std::uint32_t cols = 0;
-  float f0 = 0.0f;  ///< scale factor / add_scalar addend / BCE target
+  float f0 = 0.0f;  ///< add_scalar addend / BCE target
   float f1 = 0.0f;  ///< BCE pos_weight
   std::uint32_t u0 = 0;  ///< literal/perm/segments pool index / slice start / broadcast n
   std::uint32_t u1 = 0;  ///< slice length
@@ -130,12 +128,10 @@ class Program {
   TensorId param(Parameter* p);
 
   // --- dense algebra -----------------------------------------------------
-  TensorId matmul(TensorId a, TensorId b);       ///< A·B
-  TensorId matmul_at_b(TensorId a, TensorId b);  ///< Aᵀ·B
+  TensorId matmul(TensorId a, TensorId b);  ///< A·B
   TensorId add(TensorId a, TensorId b);
   TensorId sub(TensorId a, TensorId b);
   TensorId hadamard(TensorId a, TensorId b);  ///< elementwise product
-  TensorId scale(TensorId a, float s);
   TensorId add_scalar(TensorId a, float s);
   TensorId reciprocal(TensorId a);  ///< elementwise 1/x
 
@@ -150,9 +146,6 @@ class Program {
   /// per matrix and cached (inference-only executions never pay for it).
   TensorId spmm(const SparseMatrix* s, TensorId x);
 
-  /// Y = X / ‖X‖_F (Eq. 8's Q̃, K̃).
-  TensorId frobenius_normalize(TensorId a);
-
   /// Y = X + 1·b, bias row `b` (1×d) broadcast over rows.
   TensorId add_row_broadcast(TensorId x, TensorId bias_row);
 
@@ -165,9 +158,6 @@ class Program {
   /// Y = X * s with s a trainable (1×1) scalar node (ReZero-style gates).
   TensorId scalar_mul(TensorId x, TensorId s);
 
-  /// Column mean over rows: (N×d) → (1×d) (the READOUT of Eq. 10).
-  TensorId mean_rows(TensorId a);
-
   /// Horizontal concatenation [A | B].
   TensorId concat_cols(TensorId a, TensorId b);
 
@@ -177,20 +167,19 @@ class Program {
   /// Y[i] = X[perm[i]]; `perm` must be a permutation of the row indices.
   TensorId permute_rows(TensorId a, std::vector<std::uint32_t> perm);
 
-  // --- segmented ops (block-diagonal batched inference, DESIGN.md §13) ---
+  // --- segmented ops (block-diagonal batches, DESIGN.md §13) -------------
   /// Registers a segment-offset vector [0, o_1, ..., N] (strictly
-  /// increasing) partitioning packed rows into per-graph blocks. The same
-  /// handle is shared by every segmented op over tensors with that row
-  /// partition.
+  /// increasing) partitioning packed rows into per-graph blocks; one graph
+  /// is [0, N]. The same handle is shared by every segmented op over
+  /// tensors with that row partition.
   SegmentsId add_segments(std::vector<std::uint32_t> offsets);
 
   /// Per-segment column mean: (N×d, B segments) → (B×d); output row g is
-  /// mean_rows of rows [o_g, o_{g+1}). The batched READOUT of Eq. 10 —
-  /// bitwise equal, segment by segment, to per-graph mean_rows.
+  /// the mean of rows [o_g, o_{g+1}). The READOUT of Eq. 10.
   TensorId segment_mean_rows(TensorId a, SegmentsId seg);
 
   /// Per-segment Frobenius normalization: each block of rows is divided by
-  /// its own ‖·‖_F (Eq. 8's Q̃/K̃, batched). (N×d) → (N×d).
+  /// its own ‖·‖_F (Eq. 8's Q̃/K̃). (N×d) → (N×d).
   TensorId segment_frobenius_normalize(TensorId a, SegmentsId seg);
 
   /// Per-segment AᵀB, stacked: (A N×da, B N×db) → (B·da)×db where output

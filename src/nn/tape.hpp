@@ -49,15 +49,11 @@ class Tape {
 
   // --- dense algebra -----------------------------------------------------
   TensorId matmul(TensorId a, TensorId b) { return rec(prog_.matmul(a, b)); }
-  TensorId matmul_at_b(TensorId a, TensorId b) {
-    return rec(prog_.matmul_at_b(a, b));
-  }
   TensorId add(TensorId a, TensorId b) { return rec(prog_.add(a, b)); }
   TensorId sub(TensorId a, TensorId b) { return rec(prog_.sub(a, b)); }
   TensorId hadamard(TensorId a, TensorId b) {
     return rec(prog_.hadamard(a, b));
   }
-  TensorId scale(TensorId a, float s) { return rec(prog_.scale(a, s)); }
   TensorId add_scalar(TensorId a, float s) {
     return rec(prog_.add_scalar(a, s));
   }
@@ -72,9 +68,6 @@ class Tape {
   TensorId spmm(const SparseMatrix* s, TensorId x) {
     return rec(prog_.spmm(s, x));
   }
-  TensorId frobenius_normalize(TensorId a) {
-    return rec(prog_.frobenius_normalize(a));
-  }
   TensorId add_row_broadcast(TensorId x, TensorId bias_row) {
     return rec(prog_.add_row_broadcast(x, bias_row));
   }
@@ -85,7 +78,6 @@ class Tape {
   TensorId scalar_mul(TensorId x, TensorId s) {
     return rec(prog_.scalar_mul(x, s));
   }
-  TensorId mean_rows(TensorId a) { return rec(prog_.mean_rows(a)); }
   TensorId concat_cols(TensorId a, TensorId b) {
     return rec(prog_.concat_cols(a, b));
   }
@@ -96,7 +88,7 @@ class Tape {
     return rec(prog_.permute_rows(a, std::move(perm)));
   }
 
-  // --- segmented ops (block-diagonal batched inference, DESIGN.md §13) ---
+  // --- segmented ops (block-diagonal batches, DESIGN.md §13) -------------
   SegmentsId add_segments(std::vector<std::uint32_t> offsets) {
     return prog_.add_segments(std::move(offsets));
   }

@@ -18,7 +18,6 @@ int main() {
   if (simd::add(y, x, x, 8)) return 4;
   if (simd::sub(y, x, x, 8)) return 5;
   if (simd::hadamard(y, x, x, 8)) return 6;
-  if (simd::scale(y, x, 0.5f, 8)) return 7;
   if (simd::add_scalar(y, x, 0.5f, 8)) return 8;
   if (simd::bias_add(y, x, x, 2, 4)) return 9;
   if (simd::row_scale(y, x, x, 2, 4)) return 10;

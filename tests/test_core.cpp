@@ -204,5 +204,36 @@ TEST(EndToEndTest, NodeCapBypassesInference) {
   EXPECT_DOUBLE_EQ(run.inference_seconds, 0.0);
 }
 
+// --- empty-input guard -------------------------------------------------------
+
+TEST(ClassifyFormulaTest, EmptyFormulasSkipInferenceUnderAModel) {
+  // A formula with no variables or no clauses has no graph rows to pool.
+  // With a model loaded, selection must still fall back to p = 0.5 (the
+  // model-free ranking) instead of throwing from the recorder.
+  nn::NeuroSelectModel model;
+  std::vector<CnfFormula> formulas;
+  formulas.emplace_back(5);  // p cnf 5 0
+  formulas.emplace_back(0);  // p cnf 0 0
+  formulas.emplace_back(0);  // p cnf 0 1 with its empty clause
+  formulas.back().add_clause({});
+
+  std::vector<solver::SolverOptions> configs(3);
+  configs[1].deletion_policy = policy::PolicyKind::kFrequency;
+  const PortfolioSelector with_model(&model, configs);
+  const PortfolioSelector model_free(nullptr, configs);
+  EndToEndOptions opts;
+  opts.timeout_propagations = 1'000;
+  for (const CnfFormula& f : formulas) {
+    EXPECT_EQ(classify_formula(&model, f), 0.5f);
+    PolicySelection sel;
+    ASSERT_NO_THROW(sel = with_model.select(f));
+    EXPECT_EQ(sel.p_frequency, 0.5f);
+    EXPECT_EQ(sel.ranked, model_free.select(f).ranked);
+    InstanceRun run;
+    ASSERT_NO_THROW(run = run_instance(&model, named("empty", f), opts));
+    EXPECT_EQ(run.chosen, policy::PolicyKind::kDefault);
+  }
+}
+
 }  // namespace
 }  // namespace ns::core

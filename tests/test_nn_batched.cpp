@@ -1,11 +1,14 @@
 /// \file test_nn_batched.cpp
 /// Block-diagonal batched inference (DESIGN.md §13). The load-bearing
-/// property is *bitwise* parity: for every classifier, the packed batch
-/// path must produce exactly the float bits of the per-graph path, for any
-/// batch shape and any thread count. The suite also gradchecks the four
-/// segmented ops (they have no eager reference — the per-graph program is
-/// their forward oracle, the numeric checker their backward oracle) and
-/// pins the recorder's validation of malformed segment descriptors.
+/// property is *bitwise* parity: for every classifier, a packed batch must
+/// produce exactly the float bits of each of its graphs run alone as a
+/// one-graph batch, for any batch shape and any thread count. A one-graph
+/// program's segmented ops have an eager reference (they replay as seed ops
+/// in tests/eager_reference.hpp, checked by test_nn_executor.cpp); a
+/// multi-segment program has none, so the one-graph programs are its
+/// forward oracle. The suite also gradchecks the four segmented ops over
+/// several segments and pins the recorder's validation of malformed
+/// segment descriptors.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,8 @@
 
 namespace ns::nn {
 namespace {
+
+using ns::testing::mean_over_rows;
 
 std::uint32_t bits(float x) {
   std::uint32_t u = 0;
@@ -62,6 +67,16 @@ std::vector<const GraphBatch*> make_batch(const std::vector<GraphBatch>& corpus,
   return batch;
 }
 
+/// Opens every 1×1 parameter — the ReZero attention gates and the head
+/// bias — at 0.5. Fresh models start the gates at exactly 0, where the
+/// attention block adds 0 to the logit, so an attention bug would be
+/// invisible.
+void open_gates(SatClassifier& model) {
+  for (Parameter* p : model.parameters()) {
+    if (p->value.rows() == 1 && p->value.cols() == 1) p->value.fill(0.5f);
+  }
+}
+
 /// Batch shapes of the parity sweep: singleton, pair, power of two, and a
 /// ragged 17 (every shape repeats the degenerate single-clause instance).
 constexpr std::size_t kBatchSizes[] = {1, 2, 8, 17};
@@ -76,6 +91,7 @@ TEST_P(BatchedParityTest, PackedLogitsBitwiseEqualPerGraph) {
   const auto [kind, threads] = GetParam();
   runtime::set_global_thread_count(static_cast<std::size_t>(threads));
   const auto model = make_classifier(kind, /*seed=*/5);
+  open_gates(*model);
   const std::vector<GraphBatch> corpus = build_corpus();
 
   for (const std::size_t size : kBatchSizes) {
@@ -85,13 +101,13 @@ TEST_P(BatchedParityTest, PackedLogitsBitwiseEqualPerGraph) {
     expected.reserve(size);
     for (const GraphBatch* g : batch) {
       Tape t;
-      const TensorId logit = model->forward_logit(t, *g);
+      const TensorId logit = model->forward_logits(t, PackedGraphs(*g));
       expected.push_back(t.value(logit).at(0, 0));
     }
 
     const PackedGraphs packed = PackedGraphs::build(batch);
     Tape tb;
-    const TensorId logits = model->forward_logit_batch(tb, packed);
+    const TensorId logits = model->forward_logits(tb, packed);
     ASSERT_EQ(tb.value(logits).rows(), size);
     ASSERT_EQ(tb.value(logits).cols(), 1u);
     for (std::size_t i = 0; i < size; ++i) {
@@ -106,6 +122,7 @@ TEST_P(BatchedParityTest, SessionAndClassifyBatchMatchPerGraphProbability) {
   const auto [kind, threads] = GetParam();
   runtime::set_global_thread_count(static_cast<std::size_t>(threads));
   const auto model = make_classifier(kind, /*seed=*/5);
+  open_gates(*model);
   const std::vector<GraphBatch> corpus = build_corpus();
   const std::vector<const GraphBatch*> batch = make_batch(corpus, 6);
 
@@ -115,7 +132,7 @@ TEST_P(BatchedParityTest, SessionAndClassifyBatchMatchPerGraphProbability) {
   }
 
   const PackedGraphs packed = PackedGraphs::build(batch);
-  BatchedInferenceSession session(*model, packed);
+  InferenceSession session(*model, packed);
   const std::vector<float>& probs = session.predict_probabilities();
   ASSERT_EQ(probs.size(), batch.size());
   // Re-running the session must not reallocate or change anything.
@@ -173,21 +190,35 @@ TEST(PackedGraphsTest, OffsetsAndOperatorsCoverEveryGraph) {
     lits += batch[g]->lc.num_lits;
     nnz += batch[g]->vc.svc.nnz();
   }
-  EXPECT_EQ(p.packed.vc.num_vars, vars);
-  EXPECT_EQ(p.packed.vc.num_clauses, clauses);
-  EXPECT_EQ(p.packed.vc.svc.rows(), vars);
-  EXPECT_EQ(p.packed.vc.svc.cols(), clauses);
-  EXPECT_EQ(p.packed.vc.svc.nnz(), nnz);
-  EXPECT_EQ(p.packed.lc.num_lits, lits);
-  ASSERT_EQ(p.packed.lc.flip.size(), lits);
+  const GraphBatch& packed = p.packed();
+  EXPECT_EQ(packed.vc.num_vars, vars);
+  EXPECT_EQ(packed.vc.num_clauses, clauses);
+  EXPECT_EQ(packed.vc.svc.rows(), vars);
+  EXPECT_EQ(packed.vc.svc.cols(), clauses);
+  EXPECT_EQ(packed.vc.svc.nnz(), nnz);
+  EXPECT_EQ(packed.lc.num_lits, lits);
+  ASSERT_EQ(packed.lc.flip.size(), lits);
   // The packed flip must pair literals within their own block.
   for (std::size_t g = 0; g < batch.size(); ++g) {
     for (std::uint32_t i = p.lit_offsets[g]; i < p.lit_offsets[g + 1]; ++i) {
-      EXPECT_EQ(p.packed.lc.flip[p.packed.lc.flip[i]], i);
-      EXPECT_GE(p.packed.lc.flip[i], p.lit_offsets[g]);
-      EXPECT_LT(p.packed.lc.flip[i], p.lit_offsets[g + 1]);
+      EXPECT_EQ(packed.lc.flip[packed.lc.flip[i]], i);
+      EXPECT_GE(packed.lc.flip[i], p.lit_offsets[g]);
+      EXPECT_LT(packed.lc.flip[i], p.lit_offsets[g + 1]);
     }
   }
+}
+
+TEST(PackedGraphsTest, OneGraphBatchBorrowsItsOperators) {
+  const std::vector<GraphBatch> corpus = build_corpus();
+  const GraphBatch& g = corpus[1];
+  const PackedGraphs p(g);
+
+  EXPECT_EQ(p.num_graphs, 1u);
+  EXPECT_EQ(p.var_offsets, (std::vector<std::uint32_t>{0, 12}));
+  EXPECT_EQ(p.clause_offsets, (std::vector<std::uint32_t>{0, 40}));
+  EXPECT_EQ(p.lit_offsets, (std::vector<std::uint32_t>{0, 24}));
+  // No operator copy: the program binds the graph's own matrices.
+  EXPECT_EQ(&p.packed(), &g);
 }
 
 TEST(PackedGraphsTest, BlockDiagonalSpmmMatchesPerBlockMultiply) {
@@ -196,8 +227,8 @@ TEST(PackedGraphsTest, BlockDiagonalSpmmMatchesPerBlockMultiply) {
   const PackedGraphs p = PackedGraphs::build(batch);
 
   std::mt19937_64 rng(13);
-  const Matrix x = Matrix::xavier(p.packed.vc.num_clauses, 4, rng);
-  const Matrix packed_y = p.packed.vc.svc.multiply(x);
+  const Matrix x = Matrix::xavier(p.packed().vc.num_clauses, 4, rng);
+  const Matrix packed_y = p.packed().vc.svc.multiply(x);
 
   for (std::size_t g = 0; g < batch.size(); ++g) {
     Matrix xg(batch[g]->vc.num_clauses, 4);
@@ -227,7 +258,7 @@ TEST(SegmentedOpsTest, SegmentMeanRowsGradCheck) {
       [&](Tape& t) {
         const SegmentsId seg = t.add_segments({0, 2, 5});
         const TensorId m = t.segment_mean_rows(t.param(&a), seg);  // 2×3
-        return t.matmul(t.mean_rows(m), t.constant(Matrix::ones(3, 1)));
+        return t.matmul(mean_over_rows(t, m), t.constant(Matrix::ones(3, 1)));
       });
 }
 
@@ -245,7 +276,7 @@ TEST(SegmentedOpsTest, SegmentFrobeniusNormalizeGradCheck) {
           w.data()[i] = 0.07f * static_cast<float>(i + 1);
         }
         const TensorId h = t.hadamard(n, t.constant(std::move(w)));
-        return t.matmul(t.mean_rows(h), t.constant(Matrix::ones(3, 1)));
+        return t.matmul(mean_over_rows(t, h), t.constant(Matrix::ones(3, 1)));
       },
       5e-3f, 6e-2f);
 }
@@ -265,7 +296,7 @@ TEST(SegmentedOpsTest, SegmentMatmulAtBGradCheck) {
           w.data()[i] = 0.05f * static_cast<float>(i + 1);
         }
         const TensorId h = t.hadamard(y, t.constant(std::move(w)));
-        return t.matmul(t.mean_rows(h), t.constant(Matrix::ones(3, 1)));
+        return t.matmul(mean_over_rows(t, h), t.constant(Matrix::ones(3, 1)));
       },
       5e-3f, 6e-2f);
 }
@@ -285,7 +316,7 @@ TEST(SegmentedOpsTest, SegmentBlockMatmulGradCheck) {
           m.data()[i] = 0.05f * static_cast<float>(i + 1);
         }
         const TensorId h = t.hadamard(y, t.constant(std::move(m)));
-        return t.matmul(t.mean_rows(h), t.constant(Matrix::ones(3, 1)));
+        return t.matmul(mean_over_rows(t, h), t.constant(Matrix::ones(3, 1)));
       },
       5e-3f, 6e-2f);
 }
@@ -301,14 +332,13 @@ TEST(SegmentedOpsTest, SegmentedAttentionGradCheck) {
       params,
       [&](Tape& t) {
         const SegmentsId seg = t.add_segments(offsets);
-        const TensorId out =
-            attn.forward_segmented(t, t.param(&z), seg, offsets);
+        const TensorId out = attn.forward(t, t.param(&z), seg);
         Matrix w(5, 3);
         for (std::size_t i = 0; i < w.size(); ++i) {
           w.data()[i] = 0.05f * static_cast<float>(i + 1);
         }
         const TensorId h = t.hadamard(out, t.constant(std::move(w)));
-        return t.matmul(t.mean_rows(h), t.constant(Matrix::ones(3, 1)));
+        return t.matmul(mean_over_rows(t, h), t.constant(Matrix::ones(3, 1)));
       },
       5e-3f, 6e-2f);
 }

@@ -43,6 +43,16 @@ namespace {
   return ::testing::AssertionFailure() << "memcmp mismatch";
 }
 
+/// Opens every 1×1 parameter — the ReZero attention gates and the head
+/// bias — at 0.5. Fresh models start the gates at exactly 0, where the
+/// attention block adds 0 to the logit and every attention weight gets a
+/// zero gradient, so an attention bug would be invisible.
+void open_gates(SatClassifier& model) {
+  for (Parameter* p : model.parameters()) {
+    if (p->value.rows() == 1 && p->value.cols() == 1) p->value.fill(0.5f);
+  }
+}
+
 std::vector<Matrix> snapshot_grads(const std::vector<Parameter*>& params) {
   std::vector<Matrix> out;
   out.reserve(params.size());
@@ -57,18 +67,20 @@ class ExecutorParityTest
 };
 
 /// The heart of the refactor's acceptance: for every classifier, at 1 and
-/// 8 threads, the planned executor's forward values and parameter
-/// gradients are bit-for-bit those of the seed eager tape.
+/// 8 threads, with the attention gates open, the planned executor's forward
+/// values and parameter gradients on a one-graph program are bit-for-bit
+/// those of the seed eager tape (the one-segment ops replay as seed ops).
 TEST_P(ExecutorParityTest, ForwardAndGradientsMatchEagerBitwise) {
   const auto [kind, threads] = GetParam();
   runtime::set_global_thread_count(static_cast<std::size_t>(threads));
 
   auto model = make_classifier(kind, 7);
+  open_gates(*model);
   const GraphBatch g = GraphBatch::build(gen::random_ksat(12, 40, 3, 77));
   const std::vector<Parameter*> params = model->parameters();
 
   Tape tape;
-  const TensorId logit = model->forward_logit(tape, g);
+  const TensorId logit = model->forward_logits(tape, PackedGraphs(g));
   const TensorId loss = tape.bce_with_logits(logit, 1.0f, 2.0f);
 
   // Reference pass: replay the recorded program on the verbatim seed tape.
@@ -96,7 +108,7 @@ TEST_P(ExecutorParityTest, ForwardAndGradientsMatchEagerBitwise) {
   // shape, where the logit is the program output): same logit bits,
   // without any gradient state.
   Tape itape;
-  const TensorId ilogit = model->forward_logit(itape, g);
+  const TensorId ilogit = model->forward_logits(itape, PackedGraphs(g));
   Executor inf(itape.program(), ExecMode::kInference);
   inf.forward();
   EXPECT_TRUE(bitwise_equal(inf.value(ilogit), eager_logit));
@@ -123,7 +135,7 @@ TEST(ExecutorTest, RepeatedForwardIsBitwiseDeterministic) {
   auto model = make_classifier(ClassifierKind::kNeuroSelect, 3);
   const GraphBatch g = GraphBatch::build(gen::random_ksat(10, 32, 3, 5));
   Tape tape;
-  const TensorId logit = model->forward_logit(tape, g);
+  const TensorId logit = model->forward_logits(tape, PackedGraphs(g));
   Executor exec(tape.program(), ExecMode::kInference);
   exec.forward();
   const Matrix first = exec.value(logit);
@@ -148,7 +160,7 @@ TEST(ExecutorTest, InferencePlanReusesBuffersAcrossLiveRanges) {
   auto model = make_classifier(ClassifierKind::kNeuroSelect, 21);
   const GraphBatch g = GraphBatch::build(gen::random_ksat(12, 40, 3, 13));
   Tape tape;
-  model->forward_logit(tape, g);
+  model->forward_logits(tape, PackedGraphs(g));
 
   Executor inf(tape.program(), ExecMode::kInference);
   Executor train(tape.program(), ExecMode::kTraining);
@@ -166,8 +178,8 @@ TEST(ExecutorTest, TrainingModeKeepsEveryValueReadable) {
   Tape tape;
   const TensorId x = tape.param(&w);
   const TensorId a = tape.relu(x);
-  const TensorId b = tape.scale(a, 3.0f);
-  const TensorId c = tape.mean_rows(b);
+  const TensorId b = tape.add_scalar(a, 2.0f);
+  const TensorId c = tape.segment_mean_rows(b, tape.add_segments({0, 2}));
   Executor exec(tape.program(), ExecMode::kTraining);
   exec.forward();
   EXPECT_FLOAT_EQ(exec.value(a).at(0, 0), 1.0f);  // intermediate still live
@@ -180,7 +192,7 @@ TEST(ExecutorTest, TrainingModeKeepsEveryValueReadable) {
 TEST(ExecutorTest, InferenceBackwardThrows) {
   Parameter w(Matrix::ones(1, 1));
   Tape tape;
-  const TensorId loss = tape.scale(tape.param(&w), 2.0f);
+  const TensorId loss = tape.add_scalar(tape.param(&w), 2.0f);
   Executor exec(tape.program(), ExecMode::kInference);
   exec.forward();
   EXPECT_THROW(exec.backward(loss), std::logic_error);
@@ -190,7 +202,7 @@ TEST(ExecutorTest, InferenceAllocatesNoGradientStorage) {
   Parameter w(Matrix::ones(1, 1));
   Tape tape;
   const TensorId x = tape.param(&w);
-  const TensorId y = tape.scale(x, 2.0f);
+  const TensorId y = tape.add_scalar(x, 2.0f);
   Executor exec(tape.program(), ExecMode::kInference);
   exec.forward();
   EXPECT_FALSE(exec.has_grad(y));
@@ -219,7 +231,7 @@ TEST(ExecutorTest, InferenceValueOfRecycledIntermediateThrows) {
   TensorId t = tape.constant(Matrix::ones(4, 4));
   const TensorId first_compute = tape.relu(t);
   t = first_compute;
-  for (int i = 0; i < 4; ++i) t = tape.relu(tape.scale(t, 1.5f));
+  for (int i = 0; i < 4; ++i) t = tape.relu(tape.add_scalar(t, 1.5f));
   Executor exec(tape.program(), ExecMode::kInference);
   exec.forward();
   EXPECT_NO_THROW(exec.value(t));  // final output is always live

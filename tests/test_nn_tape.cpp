@@ -12,6 +12,7 @@ namespace ns::nn {
 namespace {
 
 using ns::testing::expect_gradients_match;
+using ns::testing::one_segment;
 
 Matrix filled(std::size_t r, std::size_t c, float base, float step) {
   Matrix m(r, c);
@@ -29,7 +30,7 @@ TensorId weighted_scalar(Tape& tape, TensorId x) {
     w.data()[i] = 0.05f * static_cast<float>(i + 1);
   }
   const TensorId weighted = tape.hadamard(x, tape.constant(std::move(w)));
-  const TensorId pooled = tape.mean_rows(weighted);  // 1×c
+  const TensorId pooled = ns::testing::mean_over_rows(tape, weighted);  // 1×c
   const TensorId ones = tape.constant(Matrix::ones(v.cols(), 1));
   return tape.matmul(pooled, ones);  // 1×1
 }
@@ -138,7 +139,9 @@ TEST(GradCheckTest, MatmulAtB) {
   Parameter a(filled(4, 3, -0.2f, 0.09f));
   Parameter b(filled(4, 2, 0.3f, -0.05f));
   expect_gradients_match({&a, &b}, [&](Tape& t) {
-    return weighted_scalar(t, t.matmul_at_b(t.param(&a), t.param(&b)));
+    const TensorId pa = t.param(&a);
+    return weighted_scalar(
+        t, t.segment_matmul_at_b(pa, t.param(&b), one_segment(t, pa)));
   });
 }
 
@@ -155,8 +158,9 @@ TEST(GradCheckTest, AddSubHadamard) {
 TEST(GradCheckTest, ScaleAddScalarReciprocal) {
   Parameter a(filled(2, 2, 1.0f, 0.3f));  // positive, away from 0
   expect_gradients_match({&a}, [&](Tape& t) {
-    return weighted_scalar(
-        t, t.reciprocal(t.add_scalar(t.scale(t.param(&a), 0.7f), 1.5f)));
+    const TensorId scaled =
+        t.scalar_mul(t.param(&a), t.constant(Matrix(1, 1, 0.7f)));
+    return weighted_scalar(t, t.reciprocal(t.add_scalar(scaled, 1.5f)));
   });
 }
 
@@ -188,7 +192,9 @@ TEST(GradCheckTest, Spmm) {
 TEST(GradCheckTest, FrobeniusNormalize) {
   Parameter a(filled(3, 2, 0.5f, 0.21f));
   expect_gradients_match({&a}, [&](Tape& t) {
-    return weighted_scalar(t, t.frobenius_normalize(t.param(&a)));
+    const TensorId pa = t.param(&a);
+    return weighted_scalar(
+        t, t.segment_frobenius_normalize(pa, one_segment(t, pa)));
   });
 }
 
