@@ -9,7 +9,6 @@
 /// pipeline (labelling rule, loss, optimizer, batch size 1) is unchanged.
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -30,9 +29,9 @@ namespace ns::bench {
 ///
 /// Thread- and crash-safe: `record` may be called from pool workers (the
 /// entry list is `NS_GUARDED_BY` the internal mutex), and every write goes
-/// through a fresh temp file plus an atomic rename, so a reader — or a
-/// concurrent/interrupted bench run sharing the file via `write_shared` —
-/// can never observe a torn BENCH file.
+/// through a fresh temp file plus an atomic rename, so a reader — or an
+/// interrupted bench run — can never observe a torn BENCH file. Each BENCH
+/// file has exactly one writing bench.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench_name) : bench_(std::move(bench_name)) {}
@@ -54,22 +53,7 @@ class BenchJson {
   /// written. Safe to call repeatedly (rewrites the whole file).
   bool write(const std::string& dir = ".") const {
     runtime::MutexLock lock(mutex_);
-    return write_file(dir, {}, /*preserved_first=*/false);
-  }
-
-  /// Merge-write for two benches sharing one BENCH file, partitioned by a
-  /// row-name prefix. With `this_bench_owns_prefix`, rows under
-  /// `name_prefix` are this run's to replace and every other existing row
-  /// survives (and is emitted first); otherwise this run owns everything
-  /// *except* the prefix and the prefixed rows survive (emitted last). The
-  /// file stays line-oriented, one row object per line, so the partition
-  /// can be recovered textually.
-  bool write_shared(const std::string& name_prefix, bool this_bench_owns_prefix,
-                    const std::string& dir = ".") const {
-    const std::vector<std::string> preserved =
-        read_rows(dir, name_prefix, /*keep_matching=*/!this_bench_owns_prefix);
-    runtime::MutexLock lock(mutex_);
-    return write_file(dir, preserved, /*preserved_first=*/this_bench_owns_prefix);
+    return write_file(dir);
   }
 
  private:
@@ -84,37 +68,11 @@ class BenchJson {
     return dir + "/BENCH_" + bench_ + ".json";
   }
 
-  /// Reads the existing BENCH file and returns the row lines (without the
-  /// array brackets or trailing commas) whose "name" value starts — or with
-  /// `keep_matching == false` does not start — with `name_prefix`.
-  std::vector<std::string> read_rows(const std::string& dir,
-                                     const std::string& name_prefix,
-                                     bool keep_matching) const {
-    std::vector<std::string> rows;
-    std::ifstream in(path_in(dir));
-    if (!in) return rows;
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t key = line.find("\"name\": \"");
-      if (key == std::string::npos) continue;  // "[" / "]" / malformed
-      const bool matches =
-          line.compare(key + 9, name_prefix.size(), name_prefix) == 0;
-      if (matches != keep_matching) continue;
-      while (!line.empty() && (line.back() == ',' || line.back() == ' ')) {
-        line.pop_back();
-      }
-      rows.push_back(line);
-    }
-    return rows;
-  }
-
   /// Renders all rows into `<path>.tmp.<pid>` and renames it over the
   /// target: rename(2) is atomic within a filesystem, so the BENCH file is
   /// always either the old or the new content, never a torn mix — even if
   /// this run is interrupted mid-write or races another process.
-  bool write_file(const std::string& dir,
-                  const std::vector<std::string>& preserved,
-                  bool preserved_first) const NS_REQUIRES(mutex_) {
+  bool write_file(const std::string& dir) const NS_REQUIRES(mutex_) {
     const std::string path = path_in(dir);
     const std::string tmp =
         path + ".tmp." +
@@ -128,8 +86,7 @@ class BenchJson {
     std::FILE* f = std::fopen(tmp.c_str(), "w");
     if (f == nullptr) return false;
     std::vector<std::string> rows;
-    rows.reserve(entries_.size() + preserved.size());
-    if (preserved_first) rows = preserved;
+    rows.reserve(entries_.size());
     for (const Entry& e : entries_) {
       char buf[512];
       int n = std::snprintf(buf, sizeof buf,
@@ -145,9 +102,6 @@ class BenchJson {
       }
       row += '}';
       rows.push_back(std::move(row));
-    }
-    if (!preserved_first) {
-      rows.insert(rows.end(), preserved.begin(), preserved.end());
     }
     std::fprintf(f, "[\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -4,9 +4,10 @@
 /// bench sweeps 1/2/4/8 threads, reports wall time and speedup over the
 /// 1-thread run, and verifies that the results are bitwise identical across
 /// thread counts (the runtime's determinism contract). Measurements — with
-/// speedup_vs_1t per row — are also written to BENCH_parallel_scaling.json,
-/// and the bench exits nonzero if any multi-thread run is more than 10%
-/// slower than its own 1-thread baseline.
+/// speedup_vs_1t per row — are also written to BENCH_parallel_scaling.json
+/// (this bench is its only writer; the portfolio rows live in
+/// BENCH_portfolio.json), and the bench exits nonzero if any multi-thread
+/// run is more than 10% slower than its own 1-thread baseline.
 
 #include <chrono>
 #include <cstdio>
@@ -205,8 +206,7 @@ int main() {
   }
 
   ns::runtime::set_global_thread_count(0);  // restore the default
-  // bench_portfolio shares this BENCH file: keep its "portfolio/" rows.
-  if (!json.write_shared("portfolio/", /*this_bench_owns_prefix=*/false)) {
+  if (!json.write()) {
     std::printf("warning: could not write BENCH_parallel_scaling.json\n");
   }
   if (mismatches > 0 || regressions > 0) {

@@ -13,8 +13,8 @@
 /// classifier-guided >= fixed >= single-best on solved count, and
 /// classifier strictly cheaper than fixed on total work — plus bitwise
 /// winner determinism of the racer across 1/2/8 global threads. Rows land
-/// in BENCH_parallel_scaling.json under the "portfolio/" name prefix
-/// (merge-written: the scaling bench's own rows are preserved).
+/// in BENCH_portfolio.json under the "portfolio/" name prefix; this bench
+/// is that file's only writer.
 
 #include <chrono>
 #include <cstdio>
@@ -84,7 +84,7 @@ ModeTally run_mode(ns::portfolio::SelectMode mode,
 }  // namespace
 
 int main() {
-  ns::bench::BenchJson json("parallel_scaling");
+  ns::bench::BenchJson json("portfolio");
   const ns::portfolio::EngineConfigRegistry registry =
       ns::portfolio::EngineConfigRegistry::default_portfolio();
 
@@ -185,10 +185,8 @@ int main() {
   }
   ns::runtime::set_global_thread_count(0);  // restore the default
 
-  // bench_parallel_scaling shares this BENCH file: keep its rows, replace
-  // only the "portfolio/" partition.
-  if (!json.write_shared("portfolio/", /*this_bench_owns_prefix=*/true)) {
-    std::printf("warning: could not write BENCH_parallel_scaling.json\n");
+  if (!json.write()) {
+    std::printf("warning: could not write BENCH_portfolio.json\n");
   }
 
   // --- acceptance gates ---------------------------------------------------

@@ -2,8 +2,9 @@
 # src/ must be self-contained — it compiles as the sole include of an empty
 # TU. One TU is generated per header and built into an OBJECT library, so a
 # header that silently leans on its includer's context fails the ordinary
-# build, not just the lint tier. tools/arch_lint.cpp re-checks the same
-# property standalone via --compile-headers (used by the fixture tests).
+# build, not just the lint tier. ns_lint's architecture pack
+# (tools/lint_architecture.cpp) re-checks the same property standalone via
+# --compile-headers (used by the fixture tests).
 
 file(GLOB_RECURSE NS_PUBLIC_HEADERS RELATIVE "${CMAKE_SOURCE_DIR}/src"
      CONFIGURE_DEPENDS "${CMAKE_SOURCE_DIR}/src/*.hpp")

@@ -29,7 +29,8 @@ void for_each_output_row(std::size_t rows, std::size_t total_ops,
   }
   // NS_SUPPRESS(blocking, allocation): pool dispatch is taken only above
   // the kMinParallelOps work floor; per-clause steady-state inference stays
-  // on the inline branch above (hot_lint tracks the hazard there).
+  // on the inline branch above (ns_lint's hot-path pack tracks the hazard
+  // there).
   runtime::global_pool().parallel_for(rows, body);
 }
 

@@ -16,9 +16,10 @@
 /// attributes. Guarded state is declared `NS_GUARDED_BY(mutex)` and every
 /// access is then proven to happen under the right lock at compile time.
 ///
-/// The static half of the discipline is enforced by ns::conlint
-/// (tools/con_lint.cpp against src/CONCURRENCY.txt, DESIGN.md §16), which
-/// checks three comment conventions tree-wide:
+/// The static half of the discipline is enforced by ns::conlint (ns_lint's
+/// concurrency pack, tools/lint_concurrency.cpp, against
+/// src/CONCURRENCY.txt, DESIGN.md §16), which checks three comment
+/// conventions tree-wide:
 ///   // NS_ATOMIC(<order>): rationale   on every std::atomic declaration
 ///       (<order> is the memory-order contract: relaxed, acquire, release,
 ///       acq_rel, or seq_cst — and the rationale says why it suffices)

@@ -33,9 +33,6 @@ struct SolverOptions {
   // --- restarts ------------------------------------------------------------
   RestartMode restart_mode = RestartMode::kGlucoseEma;
   std::uint64_t restart_interval = 256;  ///< base for Luby; min gap for EMA
-  double ema_fast_alpha = 1.0 / 32.0;    ///< fast LBD EMA coefficient
-  double ema_slow_alpha = 1.0 / 4096.0;  ///< slow LBD EMA coefficient
-  double restart_margin = 1.25;  ///< restart when fast > margin * slow
 
   // --- clause database reduction -------------------------------------------
   policy::PolicyKind deletion_policy = policy::PolicyKind::kDefault;
@@ -46,7 +43,6 @@ struct SolverOptions {
   double reduce_fraction = 0.65;  ///< fraction of reducible clauses deleted
   std::uint32_t keep_glue = 2;   ///< glue <= this is never reducible ("core")
   double frequency_alpha = 0.8;  ///< Eq. 2 threshold for kFrequency (4/5)
-  std::uint32_t clause_activity_bump = 1;  ///< bump used clauses on conflict
 
   // --- preprocessing ---------------------------------------------------------
   /// Run root-level simplification (unit propagation, pure literals,

@@ -28,10 +28,16 @@ class RestartScheduler {
             : ctx_.options->restart_interval;
   }
 
+  /// Glucose EMA coefficients: the fast and slow glue averages, and the
+  /// margin by which the fast one must exceed the slow one to restart.
+  static constexpr double kEmaFastAlpha = 1.0 / 32.0;
+  static constexpr double kEmaSlowAlpha = 1.0 / 4096.0;
+  static constexpr double kRestartMargin = 1.25;
+
   /// Folds one learned clause's glue into the Glucose EMAs.
   void on_conflict(std::uint32_t glue) {
-    ema_fast_ += ctx_.options->ema_fast_alpha * (glue - ema_fast_);
-    ema_slow_ += ctx_.options->ema_slow_alpha * (glue - ema_slow_);
+    ema_fast_ += kEmaFastAlpha * (glue - ema_fast_);
+    ema_slow_ += kEmaSlowAlpha * (glue - ema_slow_);
   }
 
   bool should_restart() const {
@@ -46,7 +52,7 @@ class RestartScheduler {
           return false;
         }
         if (ctx_.stats.conflicts < 128) return false;  // EMA warm-up
-        return ema_fast_ > ctx_.options->restart_margin * ema_slow_;
+        return ema_fast_ > kRestartMargin * ema_slow_;
       }
     }
     return false;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "audit/solver_audit.hpp"
 #include "solver/simplify.hpp"
@@ -144,7 +146,20 @@ SolveOutcome Solver::solve(const std::vector<Lit>& assumptions) {
 
 bool Solver::add_clause(std::span<const Lit> lits) {
   assert(state_ == EngineState::kAdding);
-  assert(ctx_.proof == nullptr);  // added clauses are outside the DRAT input
+  // Both refusals come before backtrack(0): a refused call leaves the
+  // engine exactly as it was.
+  if (ctx_.proof != nullptr) {
+    throw std::logic_error(
+        "Solver::add_clause: a DRAT tracer is attached, and clauses added "
+        "after load are outside the traced input");
+  }
+  for (Lit l : lits) {
+    if (!l.is_defined() || l.var() >= ctx_.num_vars) {
+      throw std::invalid_argument(
+          "Solver::add_clause: literal outside the loaded formula's " +
+          std::to_string(ctx_.num_vars) + " variable(s)");
+    }
+  }
   backtrack(0);  // clause addition is a root-level operation
   if (ctx_.inconsistent) return false;
   // Fold in root assignments, then sort/dedupe and reject tautologies —
@@ -153,7 +168,6 @@ bool Solver::add_clause(std::span<const Lit> lits) {
   std::vector<Lit> cleaned;
   cleaned.reserve(lits.size());
   for (Lit l : lits) {
-    assert(l.is_defined() && l.var() < ctx_.num_vars);
     const LBool v = ctx_.value(l);
     if (v == LBool::kTrue) return true;  // satisfied at root
     if (v == LBool::kUndef) cleaned.push_back(l);

@@ -116,9 +116,11 @@ class Solver {
   /// engine backtracks to root, folds in root-level assignments, and
   /// dedupes/tautology-checks the literals; propagation to fixpoint happens
   /// at the next solve(). Returns false once the formula is root-level
-  /// inconsistent (like MiniSat's addClause). Literals must range over the
-  /// loaded formula's variables. Not supported while a DRAT tracer is
-  /// attached: clauses added after load are not part of the traced input.
+  /// inconsistent (like MiniSat's addClause). Throws std::invalid_argument
+  /// for an undefined literal or one outside the loaded formula's
+  /// variables, and std::logic_error while a DRAT tracer is attached
+  /// (clauses added after load are not part of the traced input); a
+  /// refused call leaves the engine untouched.
   bool add_clause(std::span<const Lit> lits);
 
   /// Sets the per-query budgets applied to subsequent solve() calls.

@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "audit/solver_audit.hpp"
 #include "gen/generators.hpp"
+#include "solver/proof.hpp"
 #include "solver/solver.hpp"
 #include "trajectory_corpus.hpp"
 
@@ -298,6 +300,56 @@ TEST(IncrementalTest, AddClauseCanMakeFormulaUnsat) {
   // addClause semantics) and solving stays UNSAT.
   EXPECT_FALSE(s.add_clause(std::vector<Lit>{Lit(0, false)}));
   EXPECT_EQ(s.solve().result, SatResult::kUnsat);
+}
+
+TEST(IncrementalTest, AddClauseRejectsLiteralsOutsideTheFormula) {
+  // A refused call must leave the engine untouched: `probed` sees the
+  // bad calls, `control` does not, and both then answer identically.
+  CnfFormula f(3);
+  f.add_clause({Lit(0, false), Lit(1, false)});
+  f.add_clause({Lit(0, true), Lit(2, false)});
+  Solver probed{SolverOptions{}};
+  Solver control{SolverOptions{}};
+  probed.load(f);
+  control.load(f);
+  const SolveOutcome before = probed.solve();
+  ASSERT_EQ(before.result, SatResult::kSat);
+  ASSERT_EQ(control.solve().result, SatResult::kSat);
+
+  EXPECT_THROW(probed.add_clause(std::vector<Lit>{Lit(40, false),
+                                                  Lit(41, true)}),
+               std::invalid_argument);
+  EXPECT_THROW(probed.add_clause(std::vector<Lit>{Lit(2, false), Lit(3, true)}),
+               std::invalid_argument);
+  EXPECT_THROW(probed.add_clause(std::vector<Lit>{Lit::undef()}),
+               std::invalid_argument);
+
+  const SolveOutcome after = probed.solve();
+  const SolveOutcome expected = control.solve();
+  EXPECT_EQ(after.result, before.result);
+  EXPECT_EQ(after.result, expected.result);
+  EXPECT_EQ(after.model, expected.model);
+  expect_same_query_stats(after.stats, expected.stats, "refused-vs-control");
+  EXPECT_EQ(probed.stats().decisions, control.stats().decisions);
+}
+
+TEST(IncrementalTest, AddClauseRefusedWhileProofTracerAttached) {
+  // Clauses added after load are outside the traced DRAT input, so the
+  // engine refuses them rather than emit a silently wrong proof.
+  CnfFormula f(2);
+  f.add_clause({Lit(0, false), Lit(1, false)});
+  Solver s{SolverOptions{}};
+  s.load(f);
+  InMemoryProofTracer proof;
+  s.set_proof_tracer(&proof);
+  ASSERT_EQ(s.solve().result, SatResult::kSat);
+  const std::size_t steps = proof.steps().size();
+  EXPECT_THROW(s.add_clause(std::vector<Lit>{Lit(0, true)}), std::logic_error);
+  EXPECT_EQ(proof.steps().size(), steps);
+  // Detaching the tracer lifts the refusal.
+  s.set_proof_tracer(nullptr);
+  EXPECT_TRUE(s.add_clause(std::vector<Lit>{Lit(0, true)}));
+  EXPECT_EQ(s.solve().result, SatResult::kSat);
 }
 
 TEST(IncrementalTest, PerQueryBudgetsExhaustAndRecover) {

@@ -2,12 +2,14 @@
 # CI static-analysis gate: the one command a pipeline runs to enforce every
 # static check this repo defines.
 #
-#   1. `cmake --build <dir> --target check-static` — ns::archcheck,
-#      ns::conlint, ns::hotlint, and the fast clang-tidy tier over the real
-#      tree (each stage skips cleanly where its toolchain is missing).
-#   2. `ctest -L analysis` from <dir> — the positive tree runs plus every
-#      seeded negative fixture (one per analyzer rule), header
-#      self-containment, and the deep lint tier where available.
+#   1. `cmake --build <dir> --target check-static` — one ns_lint run over
+#      the real tree (architecture, concurrency and hot-path packs, with
+#      the header compile check), then the fast clang-tidy tier (each stage
+#      skips cleanly where its toolchain is missing).
+#   2. `ctest -L analysis` from <dir> — the positive ns_lint tree run, every
+#      seeded negative fixture (one per rule), the no-manifest usage
+#      check, header self-containment, and the deep lint tier where
+#      available.
 #
 # Both stages always run; the exit code is the OR of their failures, so a
 # fixture regression cannot hide behind a green tree run or vice versa.

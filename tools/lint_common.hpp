@@ -1,26 +1,25 @@
 #pragma once
-// lint_common — shared scanner/report machinery for the in-repo analyzers
-// (arch_lint, con_lint, hot_lint). Each tool owns its manifest grammar and
-// rule set; what they share lives here so a scanner fix lands in all three:
+// lint_common — what the rule packs of ns_lint share (DESIGN.md §12, §16,
+// §17). ns_lint.cpp walks the tree once and splits each file once; each
+// pack (lint_architecture.cpp, lint_concurrency.cpp, lint_hotpaths.cpp)
+// owns its manifest grammar and rule set and reads that one walk:
 //
 //   * comment/string-aware line splitting (LineParts + split_lines)
 //   * marker lookup on a line or the unbroken comment block above it
-//   * source collection with nested-fixture-root skipping
+//   * the one NS_SUPPRESS grammar and the banned-construct scan
 //   * the DFS cycle finder over string-keyed adjacency maps
-//   * Violation sorting and the shared stdout / JSON report formats
+//   * the Tree a pack reads and the PackResult it fills
 //
-// Header-only by design: the analyzers are single-file tools with no link
-// dependencies, and this keeps them that way.
+// The analyzer is dependency-free: the standard library only.
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <regex>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 namespace ns::lint {
@@ -28,8 +27,7 @@ namespace ns::lint {
 namespace fs = std::filesystem;
 
 /// One analyzer finding. `line` is 1-based; 0 means "no line" (file- or
-/// tree-scoped findings, and every arch_lint finding — its stdout/JSON
-/// formats predate line tracking and omit the field).
+/// tree-scoped findings, and every architecture finding).
 struct Violation {
   std::string rule;
   std::string file;  // repo-root-relative path (or manifest path)
@@ -39,45 +37,11 @@ struct Violation {
 
 inline std::string to_generic(const fs::path& p) { return p.generic_string(); }
 
-inline bool is_source_ext(const fs::path& p) {
-  const std::string e = p.extension().string();
-  return e == ".hpp" || e == ".h" || e == ".cpp" || e == ".cc" || e == ".inc";
-}
-
-/// All project source files under <root>/<dir>, root-relative, sorted.
-/// A subdirectory holding its own `<nested_marker>` (e.g. src/LAYERS.txt)
-/// is a nested analyzer root — a seeded fixture tree under tests/fixtures/
-/// — and is not part of this tree; hidden directories are skipped too.
-inline std::vector<fs::path> collect_sources(const fs::path& root,
-                                             const std::string& dir,
-                                             const fs::path& nested_marker) {
-  std::vector<fs::path> files;
-  const fs::path base = root / dir;
-  if (!fs::exists(base)) return files;
-  for (auto it = fs::recursive_directory_iterator(base);
-       it != fs::recursive_directory_iterator(); ++it) {
-    const fs::directory_entry& entry = *it;
-    if (entry.is_directory()) {
-      const std::string name = entry.path().filename().string();
-      if ((!name.empty() && name[0] == '.') ||
-          fs::exists(entry.path() / nested_marker)) {
-        it.disable_recursion_pending();
-      }
-      continue;
-    }
-    if (entry.is_regular_file() && is_source_ext(entry.path())) {
-      files.push_back(fs::relative(entry.path(), root));
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
 /// One physical source line, split into its code and comment parts (block
 /// comments tracked across lines). `code` keeps string literals verbatim
-/// (arch_lint reads include paths out of them); `stripped` additionally
-/// blanks string/char-literal contents, so brace counting and token scans
-/// cannot be fooled by quoted braces or keywords.
+/// (the architecture pack reads include paths out of them); `stripped`
+/// additionally blanks string/char-literal contents, so brace counting and
+/// token scans cannot be fooled by quoted braces or keywords.
 struct LineParts {
   std::string code;
   std::string comment;
@@ -157,6 +121,60 @@ inline bool has_marker(const std::vector<LineParts>& lines, std::size_t i,
   return false;
 }
 
+/// The suppression grammar of every pack:
+///   NS_SUPPRESS(<rule>[, <rule>...]): <why>
+/// matched for one `rule`; an empty rationale does not count.
+inline std::regex suppress_regex(const std::string& rule) {
+  return std::regex("NS_SUPPRESS\\(\\s*(?:[\\w-]+\\s*,\\s*)*" + rule +
+                    "(?:\\s*,\\s*[\\w-]+)*\\s*\\)\\s*:\\s*\\S");
+}
+
+/// One banned-construct pattern of a rule, with that rule's suppression.
+struct Banned {
+  Banned(const char* rule_, const char* pattern_, const char* what_,
+         bool mutex_class_ = false)
+      : rule(rule_),
+        pattern(pattern_),
+        what(what_),
+        mutex_class(mutex_class_),
+        suppress(suppress_regex(rule_)) {}
+  const char* rule;
+  std::regex pattern;
+  const char* what;
+  bool mutex_class;  // permitted inside hot-path `slack` functions
+  std::regex suppress;
+};
+
+/// The first entry of `table` that matches `code` and that `excused(entry)`
+/// does not excuse, or nullptr: each pack reports at most one banned
+/// construct per line.
+template <class Excused>
+const Banned* first_banned(const std::vector<Banned>& table,
+                           const std::string& code, const Excused& excused) {
+  for (const Banned& b : table) {
+    if (std::regex_search(code, b.pattern) && !excused(b)) return &b;
+  }
+  return nullptr;
+}
+
+/// Subsystem of a root-relative path: "src/<layer>/..." -> layer name,
+/// "<app>/..." -> app name when `apps` declares it, anything else
+/// (including a bare file directly under src/) -> nullopt.
+inline std::optional<std::string> subsystem_of(
+    const fs::path& rel, const std::vector<std::string>& apps = {}) {
+  auto it = rel.begin();
+  if (it == rel.end()) return std::nullopt;
+  if (*it == "src") {
+    if (++it == rel.end()) return std::nullopt;
+    const std::string name = it->string();
+    return std::next(it) == rel.end() ? std::nullopt
+                                      : std::optional<std::string>(name);
+  }
+  const std::string top = it->string();
+  if (std::find(apps.begin(), apps.end(), top) != apps.end()) return top;
+  return std::nullopt;
+}
+
 /// DFS cycle finder over a string-keyed adjacency map. Returns one witness
 /// cycle per strongly-entangled region (first back edge found from each
 /// unvisited node), formatted "a -> b -> a".
@@ -212,90 +230,49 @@ inline std::vector<std::string> find_cycles(
   return cycles;
 }
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+/// One source file of the walk, split once and read by every pack.
+struct SourceFile {
+  std::string rel;  // root-relative, generic separators
+  std::vector<LineParts> lines;
+};
 
-/// Stable diagnostic order shared by every analyzer: rule, then file, then
-/// line (always 0 for arch_lint, so its historical order is unchanged),
-/// then message.
-inline void sort_violations(std::vector<Violation>& violations) {
-  std::sort(violations.begin(), violations.end(),
-            [](const Violation& a, const Violation& b) {
-              return std::tie(a.rule, a.file, a.line, a.message) <
-                     std::tie(b.rule, b.file, b.line, b.message);
-            });
-}
+/// What every pack reads: the root, the one walk of the tree, and the
+/// command-line switches.
+struct Tree {
+  fs::path root;
+  std::vector<SourceFile> files;  // src/ (sorted), then each app directory
+  std::size_t src_files = 0;      // files[0, src_files) lie under src/
+  bool compile_headers = false;
+  std::string compiler;  // empty = $CXX, else "c++"
+  bool verbose = false;
+};
 
-/// Prints `<tool>: [<rule>] <file>[:<line>]: <message>` per violation.
-/// `with_line` selects the line-carrying format (con_lint/hot_lint) vs the
-/// line-less arch_lint format.
-inline void print_violations(const char* tool,
-                             const std::vector<Violation>& violations,
-                             bool with_line) {
-  for (const Violation& v : violations) {
-    if (with_line) {
-      std::printf("%s: [%s] %s:%zu: %s\n", tool, v.rule.c_str(),
-                  v.file.c_str(), v.line, v.message.c_str());
-    } else {
-      std::printf("%s: [%s] %s: %s\n", tool, v.rule.c_str(), v.file.c_str(),
-                  v.message.c_str());
-    }
-  }
-}
+/// One pack's share of the report.
+struct PackResult {
+  std::size_t files = 0;
+  std::string counts;             // summary counts between files and violations
+  std::vector<std::string> list;  // edges / lock order / closure
+  std::vector<Violation> violations;
+};
 
-/// Writes the shared JSON report shape:
-///   {root, files, <edges_key>: ["a -> b", ...], violations: [...]}
-/// Violation objects carry a `line` field only when `with_line` is set
-/// (arch_lint's report predates line tracking and stays stable).
-inline void write_json_report(const fs::path& json_path, const fs::path& root,
-                              std::size_t file_count, const char* edges_key,
-                              const std::vector<std::string>& edges,
-                              const std::vector<Violation>& violations,
-                              bool with_line) {
-  std::ofstream json(json_path);
-  json << "{\n  \"root\": \"" << json_escape(to_generic(root))
-       << "\",\n  \"files\": " << file_count << ",\n  \"" << edges_key
-       << "\": [";
-  bool first = true;
-  for (const std::string& e : edges) {
-    json << (first ? "" : ", ") << "\"" << json_escape(e) << "\"";
-    first = false;
-  }
-  json << "],\n  \"violations\": [";
-  first = true;
-  for (const Violation& v : violations) {
-    json << (first ? "\n" : ",\n") << "    {\"rule\": \""
-         << json_escape(v.rule) << "\", \"file\": \"" << json_escape(v.file)
-         << "\"";
-    if (with_line) json << ", \"line\": " << v.line;
-    json << ", \"message\": \"" << json_escape(v.message) << "\"}";
-    first = false;
-  }
-  json << (first ? "" : "\n  ") << "]\n}\n";
-}
+// --- the three rule packs ----------------------------------------------------
 
-/// `--list-rules` support: prints one rule name per line (machine-greppable,
-/// uniform across the analyzers).
-inline void print_rules(const std::vector<const char*>& rules) {
-  for (const char* r : rules) std::printf("%s\n", r);
-}
+/// src/LAYERS.txt, parsed first: its `app` declarations extend the walk.
+struct Layer {
+  std::string name;
+  bool observer = false;
+  bool any_dep = false;        // declared `: *`
+  std::set<std::string> deps;  // declared allowed layer dependencies
+};
+struct LayerManifest {
+  std::map<std::string, Layer> layers;
+  std::vector<std::string> apps;
+};
+LayerManifest parse_layers(const fs::path& path, std::vector<Violation>& out);
+
+void check_architecture(const Tree& tree, const LayerManifest& manifest,
+                        PackResult& out);
+void check_concurrency(const Tree& tree, PackResult& out);
+void check_hotpaths(const Tree& tree, PackResult& out);
 
 }  // namespace ns::lint

@@ -3,7 +3,7 @@
 # project's own sources using the compile database of an existing build
 # directory. Exits nonzero on any finding (WarningsAsErrors: '*').
 #
-# Usage: tools/run_lint.sh [--tier fast|deep] [--serial] [--static]
+# Usage: tools/run_lint.sh [--tier fast|deep] [--serial]
 #                          [--sources-from FILE] [build-dir]
 #   --tier fast     (default) the curated .clang-tidy check set — quick
 #                   enough to gate every build.
@@ -12,13 +12,6 @@
 #                   documented in the .clang-tidy header. Slower by design;
 #                   run it from `ctest -L analysis` or CI, not the inner
 #                   loop.
-#   --static        first run the in-repo analyzers from the build dir —
-#                   arch_lint (ns::archcheck), con_lint (ns::conlint), and
-#                   hot_lint (ns::hotlint) —
-#                   against the real tree; skipped with a notice when the
-#                   binaries are not built. Their findings fail the gate
-#                   like tidy findings do. (`cmake --build <dir> --target
-#                   check-static` is the build-system spelling.)
 #   --serial        force the per-file fallback loop even when the parallel
 #                   run-clang-tidy driver is available (the fixture test
 #                   uses this to exercise exit-code aggregation).
@@ -36,7 +29,6 @@ set -u
 
 tier=fast
 serial=0
-static=0
 sources_from=""
 build_dir=""
 
@@ -52,10 +44,6 @@ while [ $# -gt 0 ]; do
       ;;
     --serial)
       serial=1
-      shift
-      ;;
-    --static)
-      static=1
       shift
       ;;
     --sources-from)
@@ -84,24 +72,9 @@ esac
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${build_dir:-${repo_root}/build}"
 
-static_failed=0
-if [ "${static}" -eq 1 ]; then
-  for analyzer in arch_lint con_lint hot_lint; do
-    bin="${build_dir}/tools/${analyzer}"
-    if [ ! -x "${bin}" ]; then
-      echo "run_lint: ${analyzer} not built in ${build_dir} — skipped" >&2
-      continue
-    fi
-    if ! "${bin}" --root "${repo_root}" \
-        --json "${build_dir}/${analyzer}_report.json"; then
-      static_failed=1
-    fi
-  done
-fi
-
 if ! command -v clang-tidy >/dev/null 2>&1; then
   echo "run_lint: clang-tidy not found on PATH — ${tier} lint tier skipped" >&2
-  exit "${static_failed}"
+  exit 0
 fi
 
 if [ ! -f "${build_dir}/compile_commands.json" ]; then
@@ -145,8 +118,6 @@ if [ "${serial}" -eq 0 ] && command -v run-clang-tidy >/dev/null 2>&1; then
   cd "${repo_root}"
   run-clang-tidy -quiet -p "${build_dir}" ${tidy_args[0]:+"${tidy_args[@]}"} \
     "${sources[@]}"
-  tidy_status=$?
-  [ "${tidy_status}" -eq 0 ] && [ "${static_failed}" -eq 0 ]
   exit $?
 fi
 
@@ -169,4 +140,4 @@ for f in "${sources[@]}"; do
 done
 
 echo "run_lint: ${tier} tier: ${checked} file(s) checked, ${failed} with findings" >&2
-[ "${failed}" -eq 0 ] && [ "${static_failed}" -eq 0 ]
+[ "${failed}" -eq 0 ]
