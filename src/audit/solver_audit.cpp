@@ -77,6 +77,17 @@ ArenaIndex index_arena(const ClauseDb& db, std::vector<Violation>& out) {
 
 std::string lit_str(Lit l) { return l.to_string(); }
 
+const char* lbool_str(LBool b) {
+  switch (b) {
+    case LBool::kTrue:
+      return "true";
+    case LBool::kFalse:
+      return "false";
+    default:
+      return "undef";
+  }
+}
+
 /// Shared by check_trail (every reason) and check_assignment (one reason):
 /// the reason clause of `l` must be a live clause containing `l` (at index
 /// 0 for clauses longer than binary — BCP and learning normalize it there)
@@ -211,8 +222,20 @@ std::vector<Violation> check_trail(const SearchContext& ctx) {
     if (idx.ok) check_reason_of(ctx, idx, l, out);
   }
 
+  // Values are stored per literal code, so each variable owns two slots:
+  // both undefined, or one true and one false. Either slot being defined
+  // counts as assigned.
   for (Var v = 0; v < ctx.num_vars; ++v) {
-    if (trail.value(v) != LBool::kUndef && !on_trail[v]) {
+    const LBool pos = trail.value(Lit(v, false));
+    const LBool neg = trail.value(Lit(v, true));
+    if (neg != negate(pos)) {  // negate(kUndef) == kUndef
+      add(out, "trail.pair", static_cast<std::int64_t>(v),
+          "variable x" + std::to_string(v) + " has literal values x" +
+              std::to_string(v) + "=" + lbool_str(pos) + ", ~x" +
+              std::to_string(v) + "=" + lbool_str(neg) +
+              "; they must be both undefined or opposite");
+    }
+    if ((pos != LBool::kUndef || neg != LBool::kUndef) && !on_trail[v]) {
       add(out, "trail.dup", static_cast<std::int64_t>(v),
           "variable x" + std::to_string(v) +
               " is assigned but absent from the trail");

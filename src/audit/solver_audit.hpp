@@ -11,6 +11,8 @@
 ///   trail.value        a trail literal does not evaluate true
 ///   trail.level        a variable's stored level disagrees with its frame
 ///   trail.dup          assigned variable missing from the trail, or twice
+///   trail.pair         a variable's two literal values neither both undefined
+///                      nor one true and one false
 ///   trail.decision     a level's first assignment carries a reason
 ///   trail.reason       reason clause dead / missing the implied literal /
 ///                      other literals not false at \<= the implied level

@@ -64,14 +64,10 @@ ClauseRef Propagator::propagate() {
   // the value array is sized once at reset() and BCP never allocates
   // clauses, so holding raw pointers in locals spares every lookup the
   // ctx_ -> vector -> data pointer chase (the compiler cannot hoist those
-  // loads itself past the watch stores).
+  // loads itself past the watch stores). The value array is literal-indexed,
+  // so every literal read below is the single load `values[l.code()]`.
   const LBool* const values = trail.values_data();
   std::uint32_t* const arena = ctx_.db.raw();
-  const auto lit_value = [values](Lit l) -> LBool {
-    const LBool v = values[l.var()];
-    if (v == LBool::kUndef) return v;
-    return l.negated() ? negate(v) : v;
-  };
   // Tick counters stay in registers for the whole pass; flushed on exit.
   std::uint64_t ticks = 0, ticks_binary = 0;
   const auto flush = [&] {
@@ -93,7 +89,7 @@ ClauseRef Propagator::propagate() {
     while (i < count) {
       const Watch w = ws[i++];
       ticks_binary += static_cast<std::uint64_t>(w.binary());
-      const LBool blocker_value = lit_value(w.blocker);
+      const LBool blocker_value = values[w.blocker.code()];
       // The satisfied-by-blocker exit is by far the most common outcome, so
       // it is taken before the binary/long discrimination: for binary
       // watches the blocker IS the other literal, making this the same
@@ -135,7 +131,7 @@ ClauseRef Propagator::propagate() {
         c.set_lit(1, false_lit);
       }
       const Lit first = c.lit(0);
-      if (first != w.blocker && lit_value(first) == LBool::kTrue) {
+      if (first != w.blocker && values[first.code()] == LBool::kTrue) {
         ws[j++] = Watch(w.ref(), first, false);
         continue;
       }
@@ -143,7 +139,7 @@ ClauseRef Propagator::propagate() {
       bool moved = false;
       for (std::uint32_t k = 2; k < c.size(); ++k) {
         const Lit alt = c.lit(k);
-        if (lit_value(alt) != LBool::kFalse) {
+        if (values[alt.code()] != LBool::kFalse) {
           c.set_lit(1, alt);
           c.set_lit(k, false_lit);
           watches_.push(alt.code(), Watch(w.ref(), first, false));
@@ -154,7 +150,7 @@ ClauseRef Propagator::propagate() {
       }
       if (moved) continue;
       // Clause is unit or conflicting on `first`.
-      if (lit_value(first) == LBool::kFalse) {
+      if (values[first.code()] == LBool::kFalse) {
         conflict = w.ref();
         ticks += i;  // entries visited this pass (one per iteration)
         // Keep this watch, copy the unexamined tail, and bail out.

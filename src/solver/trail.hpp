@@ -1,8 +1,8 @@
 #pragma once
 /// \file trail.hpp
-/// The assignment trail: per-variable value/level/reason plus the stack of
-/// assignments in chronological order and the decision-level frames over
-/// it. This is the ground truth every other subsystem reads; only
+/// The assignment trail: per-literal values, per-variable level/reason, plus
+/// the stack of assignments in chronological order and the decision-level
+/// frames over it. This is the ground truth every other subsystem reads; only
 /// `SearchContext::enqueue` (assign) and the solver's backtrack path
 /// (shrink_to_level) mutate it.
 
@@ -18,7 +18,7 @@ namespace ns::solver {
 class Trail {
  public:
   void reset(std::size_t num_vars) {
-    values_.assign(num_vars, LBool::kUndef);
+    values_.assign(2 * num_vars, LBool::kUndef);
     level_.assign(num_vars, 0);
     reason_.assign(num_vars, kInvalidClause);
     trail_.clear();
@@ -28,18 +28,15 @@ class Trail {
     assumption_levels = 0;
   }
 
-  // --- per-variable queries ---------------------------------------------
-  LBool value(Lit l) const {
-    const LBool v = values_[l.var()];
-    if (v == LBool::kUndef) return LBool::kUndef;
-    return l.negated() ? negate(v) : v;
-  }
-  LBool value(Var v) const { return values_[v]; }
+  // --- assignment queries ----------------------------------------------
+  LBool value(Lit l) const { return values_[l.code()]; }
+  LBool value(Var v) const { return values_[Lit(v, false).code()]; }
 
-  /// Raw per-variable value array for the BCP inner loop. The array is
-  /// sized once at reset(), so the pointer stays valid across assignments;
-  /// caching it in a local spares the loop two dependent pointer loads per
-  /// lookup.
+  /// Raw value array for the BCP inner loop, indexed by `Lit::code()`: a
+  /// literal's value is `values_data()[l.code()]`, one load with no sign
+  /// branch. The array is sized once at reset(), so the pointer stays valid
+  /// across assignments; caching it in a local spares the loop two
+  /// dependent pointer loads per lookup.
   const LBool* values_data() const { return values_.data(); }
   std::uint32_t level(Var v) const { return level_[v]; }
   ClauseRef reason(Var v) const { return reason_[v]; }
@@ -61,8 +58,9 @@ class Trail {
   /// Records the assignment making `l` true at the current decision level.
   void assign(Lit l, ClauseRef reason) {
     const Var v = l.var();
-    assert(values_[v] == LBool::kUndef);
-    values_[v] = to_lbool(!l.negated());
+    assert(values_[l.code()] == LBool::kUndef);
+    values_[l.code()] = LBool::kTrue;
+    values_[(~l).code()] = LBool::kFalse;
     level_[v] = decision_level();
     reason_[v] = reason;
     // NS_SUPPRESS(allocation): trail_ is reserved for num_vars at reset()
@@ -82,8 +80,9 @@ class Trail {
     for (std::size_t i = trail_.size(); i-- > keep;) {
       const Lit l = trail_[i];
       const Var v = l.var();
-      on_unassign(l, values_[v]);
-      values_[v] = LBool::kUndef;
+      on_unassign(l, value(v));
+      values_[l.code()] = LBool::kUndef;
+      values_[(~l).code()] = LBool::kUndef;
       reason_[v] = kInvalidClause;
     }
     trail_.resize(keep);
@@ -105,7 +104,7 @@ class Trail {
   /// test corrupt values/levels/frames in ways no engine path can, to prove
   /// the auditor catches them. Production code must never use this.
   struct DebugAccess {
-    std::vector<LBool>* values;
+    std::vector<LBool>* values;  ///< indexed by Lit::code(), like values_
     std::vector<std::uint32_t>* level;
     std::vector<ClauseRef>* reason;
     std::vector<Lit>* trail;
@@ -116,7 +115,7 @@ class Trail {
   }
 
  private:
-  std::vector<LBool> values_;          ///< per var
+  std::vector<LBool> values_;          ///< per literal code (2 * num_vars)
   std::vector<std::uint32_t> level_;   ///< per var
   std::vector<ClauseRef> reason_;      ///< per var
   std::vector<Lit> trail_;             ///< assignments, oldest first

@@ -1,0 +1,37 @@
+# ctest case: one neuroselect_solve invocation that must be refused.
+#
+# Writes a two-variable CNF into WORKDIR, runs the solver on it with ARGS and
+# asserts that
+#   (a) the run exits with EXPECT_EXIT,
+#   (b) stderr matches EXPECT_ERROR, and
+#   (c) nothing reports undefined behaviour: a `runtime error:` line is what
+#       a recovering UBSan build prints, so it fails the case at any exit.
+#
+# Variables (passed via -D): SOLVE, WORKDIR, ARGS (a ;-list), EXPECT_EXIT,
+# EXPECT_ERROR.
+
+foreach(required SOLVE WORKDIR EXPECT_EXIT EXPECT_ERROR)
+  if(NOT DEFINED ${required})
+    message(FATAL_ERROR "cli_case: ${required} not set")
+  endif()
+endforeach()
+
+file(MAKE_DIRECTORY ${WORKDIR})
+file(WRITE ${WORKDIR}/instance.cnf "p cnf 2 2\n1 2 0\n-1 2 0\n")
+
+execute_process(COMMAND ${SOLVE} ${ARGS} ${WORKDIR}/instance.cnf
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE res)
+message(STATUS "neuroselect_solve exit ${res}\n${out}${err}")
+
+if(NOT res EQUAL EXPECT_EXIT)
+  message(FATAL_ERROR "cli_case: expected exit ${EXPECT_EXIT}, got ${res}")
+endif()
+if(NOT err MATCHES "${EXPECT_ERROR}")
+  message(FATAL_ERROR
+      "cli_case: no diagnostic matching \"${EXPECT_ERROR}\" on stderr")
+endif()
+if("${out}${err}" MATCHES "runtime error:")
+  message(FATAL_ERROR "cli_case: the run reported undefined behaviour")
+endif()

@@ -130,7 +130,10 @@ TEST(TrailAudit, TrailLiteralNotTrue) {
   Rig rig(2);
   rig.ctx.trail.push_level();
   rig.ctx.enqueue(L(1), kInvalidClause);
-  (*rig.ctx.trail.debug_access().values)[0] = LBool::kFalse;
+  // Flip x0's consistent slot pair: x0 false, ~x0 true.
+  std::vector<LBool>& values = *rig.ctx.trail.debug_access().values;
+  values[L(1).code()] = LBool::kFalse;
+  values[L(-1).code()] = LBool::kTrue;
   const auto out = check_trail(rig.ctx);
   EXPECT_TRUE(has_rule(out, "trail.value")) << rules_of(out);
 }
@@ -155,9 +158,22 @@ TEST(TrailAudit, VariableTwiceOnTrail) {
 
 TEST(TrailAudit, AssignedVariableAbsentFromTrail) {
   Rig rig(2);
-  (*rig.ctx.trail.debug_access().values)[1] = LBool::kTrue;
+  // A consistent assignment of x1 that never went through the trail.
+  std::vector<LBool>& values = *rig.ctx.trail.debug_access().values;
+  values[L(2).code()] = LBool::kTrue;
+  values[L(-2).code()] = LBool::kFalse;
   const auto out = check_trail(rig.ctx);
   EXPECT_TRUE(has_rule(out, "trail.dup")) << rules_of(out);
+}
+
+TEST(TrailAudit, LiteralSlotsDisagree) {
+  Rig rig(2);
+  rig.ctx.trail.push_level();
+  rig.ctx.enqueue(L(1), kInvalidClause);
+  // Forge one slot only: x0 stays true but ~x0 reads undefined.
+  (*rig.ctx.trail.debug_access().values)[L(-1).code()] = LBool::kUndef;
+  const auto out = check_trail(rig.ctx);
+  EXPECT_TRUE(has_rule(out, "trail.pair")) << rules_of(out);
 }
 
 TEST(TrailAudit, DecisionCarriesReason) {

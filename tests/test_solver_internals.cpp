@@ -6,6 +6,7 @@
 
 #include "solver/clause_db.hpp"
 #include "solver/heap.hpp"
+#include "solver/trail.hpp"
 #include "solver/watch.hpp"
 
 namespace ns::solver {
@@ -303,6 +304,68 @@ TEST(VarHeapTest, RandomizedAgainstSort) {
       EXPECT_DOUBLE_EQ(activity[got], activity[v]);
     }
   }
+}
+
+// --- Trail -------------------------------------------------------------------
+
+/// Every variable's two literal slots agree with each other, with
+/// `value(Var)`, and with the reference assignment `model`.
+::testing::AssertionResult slots_match(const Trail& trail,
+                                       const std::vector<LBool>& model) {
+  for (Var v = 0; v < model.size(); ++v) {
+    const LBool pos = trail.value(Lit(v, false));
+    const LBool neg = trail.value(Lit(v, true));
+    if (neg != negate(pos)) {
+      return ::testing::AssertionFailure() << "x" << v << " slots not paired";
+    }
+    if (trail.value(v) != pos) {
+      return ::testing::AssertionFailure()
+             << "value(x" << v << ") differs from its positive literal";
+    }
+    if (pos != model[v]) {
+      return ::testing::AssertionFailure() << "x" << v << " differs from model";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(TrailTest, LiteralSlotsStayPairedUnderRandomAssignAndShrink) {
+  constexpr Var kVars = 300;
+  std::mt19937_64 rng(11);
+  Trail trail;
+  trail.reset(kVars);
+  std::vector<LBool> model(kVars, LBool::kUndef);
+  std::size_t unassigned_calls = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (trail.size() < kVars && rng() % 4 != 0) {
+      Var v = static_cast<Var>(rng() % kVars);
+      while (model[v] != LBool::kUndef) v = (v + 1) % kVars;
+      const Lit l(v, rng() % 2 == 1);
+      // The first steps assign at level 0, which no shrink ever unwinds.
+      if (step >= 10 && (trail.decision_level() == 0 || rng() % 3 == 0)) {
+        trail.push_level();
+      }
+      trail.assign(l, kInvalidClause);
+      model[v] = l.negated() ? LBool::kFalse : LBool::kTrue;
+    } else if (trail.decision_level() > 0) {
+      const auto target =
+          static_cast<std::uint32_t>(rng() % trail.decision_level());
+      const std::size_t expected_pops =
+          trail.size() - trail.level_begin(target);
+      std::size_t pops = 0;
+      trail.shrink_to_level(target, [&](Lit l, LBool erased) {
+        // The callback sees the variable's value, before it is cleared.
+        EXPECT_EQ(erased, model[l.var()]);
+        EXPECT_EQ(trail.value(l), LBool::kTrue);
+        model[l.var()] = LBool::kUndef;
+        ++pops;
+      });
+      EXPECT_EQ(pops, expected_pops);
+      unassigned_calls += pops;
+    }
+    ASSERT_TRUE(slots_match(trail, model)) << "after step " << step;
+  }
+  EXPECT_GT(unassigned_calls, 1000u);  // the sequence really exercised shrink
 }
 
 }  // namespace

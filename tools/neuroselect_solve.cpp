@@ -56,6 +56,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -251,6 +252,12 @@ int main(int argc, char** argv) {
       int dimacs = 0;
       while (in >> dimacs) {
         if (dimacs == 0) continue;  // tolerate a trailing DIMACS terminator
+        // INT_MIN has no int magnitude, so no literal can be built from it.
+        if (dimacs == std::numeric_limits<int>::min()) {
+          std::fprintf(stderr, "c --assume literal %d is out of range\n",
+                       dimacs);
+          return 1;
+        }
         assumptions.push_back(Lit::from_dimacs(dimacs));
       }
       if (!in.eof()) {
