@@ -1,19 +1,15 @@
 /// \file bench_inference_latency.cpp
-/// Inference latency of the program/executor split, one instance at a time
-/// and as a packed batch, and the allocation-free steady-state contract
-/// behind both.
+/// Inference latency of the program/executor split, one instance at a
+/// time, and the allocation-free steady-state contract behind it.
 ///
 /// For every Table-2 classifier the bench records the 16 instances of
 /// `generate_split(2022, 16, 5)` (bench_parallel_scaling's classify_batch
-/// workload) two ways: as 16 one-graph `InferenceSession`s — the per-query
-/// deployment shape — and as one `InferenceSession` over their
-/// block-diagonal `PackedGraphs`. A pass predicts all 16 graphs (16 single
-/// predictions, or one batch prediction). After warm-up passes, each path
+/// workload) as 16 one-graph `InferenceSession`s, the per-query deployment
+/// shape. A pass predicts all 16 graphs. After warm-up passes, the bench
 /// (a) counts global operator-new calls across a window of passes — the
 /// liveness-planned workspace must make that count exactly zero with a
 /// single-thread kernel pool — and (b) reports the per-graph p50/p99, i.e.
-/// pass latency / 16, so the `*_single_*` and `*_batch16_*` rows compare
-/// the same work. Results land in BENCH_inference_latency.json;
+/// pass latency / 16. Results land in BENCH_inference_latency.json;
 /// `steady_allocs` entries carry the allocation count in the wall_ms field
 /// (0 expected). The process exits non-zero if any model allocates in
 /// steady state, so the contract is checkable in CI.
@@ -71,7 +67,7 @@ double percentile(std::vector<double> sorted_ms, double p) {
   return sorted_ms[idx];
 }
 
-/// Allocation window and per-graph latency of one inference path. `pass`
+/// Allocation window and per-graph latency of one model's sessions. `pass`
 /// predicts every graph once and returns a checksum term.
 template <typename Pass>
 bool measure(ns::bench::BenchJson& json, const std::string& row,
@@ -118,9 +114,6 @@ int main() {
   for (const ns::gen::NamedInstance& inst : split) {
     graphs.push_back(ns::nn::GraphBatch::build(inst.formula));
   }
-  std::vector<const ns::nn::GraphBatch*> graph_ptrs;
-  for (const ns::nn::GraphBatch& g : graphs) graph_ptrs.push_back(&g);
-  const ns::nn::PackedGraphs packed = ns::nn::PackedGraphs::build(graph_ptrs);
 
   struct Row {
     const char* name;
@@ -146,7 +139,7 @@ int main() {
     for (const ns::nn::GraphBatch& g : graphs) {
       singles.push_back(std::make_unique<ns::nn::InferenceSession>(*model, g));
     }
-    const bool single_ok = measure(
+    all_zero &= measure(
         json, std::string(row.name) + "_single", graphs.size(),
         [&] {
           float s = 0.0f;
@@ -154,12 +147,6 @@ int main() {
           return s;
         },
         sink);
-
-    ns::nn::InferenceSession batched(*model, packed);
-    const bool batch_ok = measure(
-        json, std::string(row.name) + "_batch16", graphs.size(),
-        [&] { return batched.predict_probabilities()[0]; }, sink);
-    all_zero = all_zero && single_ok && batch_ok;
   }
 
   if (!json.write()) {

@@ -29,9 +29,7 @@ void BM_LinearAttentionForward(benchmark::State& state) {
   // Record once, execute per iteration: what's timed is the attention
   // compute, not graph recording.
   ns::nn::Tape tape;
-  const ns::nn::TensorId out =
-      attn.forward(tape, tape.constant(z),
-                   tape.add_segments({0, static_cast<std::uint32_t>(n)}));
+  const ns::nn::TensorId out = attn.forward(tape, tape.constant(z));
   ns::nn::Executor exec(tape.program(), ns::nn::ExecMode::kInference);
   for (auto _ : state) {
     exec.forward();

@@ -29,6 +29,7 @@ Arity arity_of(Op op) {
     case Op::kParam:
       return {false, false};
     case Op::kMatmul:
+    case Op::kMatmulAtB:
     case Op::kAdd:
     case Op::kSub:
     case Op::kHadamard:
@@ -36,8 +37,6 @@ Arity arity_of(Op op) {
     case Op::kRowMul:
     case Op::kScalarMul:
     case Op::kConcatCols:
-    case Op::kSegmentMatmulAtB:
-    case Op::kSegmentBlockMatmul:
       return {true, true};
     case Op::kAddScalar:
     case Op::kReciprocal:
@@ -45,12 +44,12 @@ Arity arity_of(Op op) {
     case Op::kSigmoid:
     case Op::kTanh:
     case Op::kSpmm:
+    case Op::kFrobeniusNormalize:
     case Op::kBroadcastRow:
     case Op::kSliceCols:
     case Op::kPermuteRows:
+    case Op::kMeanRows:
     case Op::kBceWithLogits:
-    case Op::kSegmentMeanRows:
-    case Op::kSegmentFrobeniusNormalize:
       return {true, false};
   }
   return {false, false};
@@ -129,48 +128,6 @@ class ProgramChecker {
     return prog_.inst(static_cast<std::size_t>(ref));
   }
 
-  /// Validates a segmented op's pool binding: index in range, offsets
-  /// well-formed (re-derived, not trusted from the recorder) and covering
-  /// exactly `packed_rows`. Returns nullptr when shape checks downstream
-  /// would read bad state.
-  const std::vector<std::uint32_t>* check_segments(std::int32_t i,
-                                                   std::uint32_t pool_idx,
-                                                   std::uint32_t packed_rows) {
-    if (pool_idx >= prog_.num_segments()) {
-      add("ir.binding", i,
-          inst_name(prog_, i) + ": segments pool index " +
-              std::to_string(pool_idx) + " out of range (pool has " +
-              std::to_string(prog_.num_segments()) + ")");
-      return nullptr;
-    }
-    const std::vector<std::uint32_t>& off = prog_.segments(pool_idx);
-    if (off.size() < 2 || off.front() != 0) {
-      add("ir.binding", i,
-          inst_name(prog_, i) +
-              ": segment offsets must be [0, ..., N] with at least one "
-              "segment");
-      return nullptr;
-    }
-    for (std::size_t g = 1; g < off.size(); ++g) {
-      if (off[g] <= off[g - 1]) {
-        add("ir.binding", i,
-            inst_name(prog_, i) + ": segment offsets not strictly " +
-                "increasing at entry " + std::to_string(g) + " (" +
-                std::to_string(off[g - 1]) + " -> " + std::to_string(off[g]) +
-                ") — empty or overlapping block");
-        return nullptr;
-      }
-    }
-    if (off.back() != packed_rows) {
-      add("ir.operand_shape", i,
-          inst_name(prog_, i) + ": segments cover " +
-              std::to_string(off.back()) + " rows but the packed input has " +
-              std::to_string(packed_rows));
-      return nullptr;
-    }
-    return &off;
-  }
-
   void check_inst(std::int32_t i) {
     const Inst& in = prog_.inst(static_cast<std::size_t>(i));
     const Arity ar = arity_of(in.op);
@@ -217,6 +174,19 @@ class ProgramChecker {
         expect_grad(i, va.requires_grad || vb.requires_grad);
         break;
       }
+      case Op::kMatmulAtB: {
+        const Inst& va = at(in.a);
+        const Inst& vb = at(in.b);
+        if (va.rows != vb.rows) {
+          add("ir.operand_shape", i,
+              inst_name(prog_, i) + ": row counts differ: A is " +
+                  shape_str(va.rows, va.cols) + ", B is " +
+                  shape_str(vb.rows, vb.cols));
+        }
+        expect_shape(i, va.cols, vb.cols);
+        expect_grad(i, va.requires_grad || vb.requires_grad);
+        break;
+      }
       case Op::kAdd:
       case Op::kSub:
       case Op::kHadamard: {
@@ -236,7 +206,8 @@ class ProgramChecker {
       case Op::kReciprocal:
       case Op::kRelu:
       case Op::kSigmoid:
-      case Op::kTanh: {
+      case Op::kTanh:
+      case Op::kFrobeniusNormalize: {
         const Inst& va = at(in.a);
         expect_shape(i, va.rows, va.cols);
         expect_grad(i, va.requires_grad);
@@ -317,6 +288,16 @@ class ProgramChecker {
         expect_grad(i, vx.requires_grad || vs.requires_grad);
         break;
       }
+      case Op::kMeanRows: {
+        const Inst& va = at(in.a);
+        if (va.rows == 0) {
+          add("ir.operand_shape", i,
+              inst_name(prog_, i) + ": input has no rows");
+        }
+        expect_shape(i, 1, va.cols);
+        expect_grad(i, va.requires_grad);
+        break;
+      }
       case Op::kConcatCols: {
         const Inst& va = at(in.a);
         const Inst& vb = at(in.b);
@@ -389,59 +370,6 @@ class ProgramChecker {
         }
         expect_shape(i, 1, 1);
         expect_grad(i, vl.requires_grad);
-        break;
-      }
-      case Op::kSegmentMeanRows: {
-        const Inst& va = at(in.a);
-        const std::vector<std::uint32_t>* off =
-            check_segments(i, in.u0, va.rows);
-        if (off == nullptr) break;
-        expect_shape(i, static_cast<std::uint32_t>(off->size() - 1), va.cols);
-        expect_grad(i, va.requires_grad);
-        break;
-      }
-      case Op::kSegmentFrobeniusNormalize: {
-        const Inst& va = at(in.a);
-        if (check_segments(i, in.u0, va.rows) == nullptr) break;
-        expect_shape(i, va.rows, va.cols);
-        expect_grad(i, va.requires_grad);
-        break;
-      }
-      case Op::kSegmentMatmulAtB: {
-        const Inst& va = at(in.a);
-        const Inst& vb = at(in.b);
-        if (va.rows != vb.rows) {
-          add("ir.operand_shape", i,
-              inst_name(prog_, i) + ": row counts differ: A is " +
-                  shape_str(va.rows, va.cols) + ", B is " +
-                  shape_str(vb.rows, vb.cols));
-        }
-        const std::vector<std::uint32_t>* off =
-            check_segments(i, in.u0, va.rows);
-        if (off == nullptr) break;
-        expect_shape(i, static_cast<std::uint32_t>(off->size() - 1) * va.cols,
-                     vb.cols);
-        expect_grad(i, va.requires_grad || vb.requires_grad);
-        break;
-      }
-      case Op::kSegmentBlockMatmul: {
-        const Inst& va = at(in.a);
-        const Inst& vw = at(in.b);
-        const std::vector<std::uint32_t>* off =
-            check_segments(i, in.u0, va.rows);
-        if (off == nullptr) break;
-        const std::uint32_t num_seg =
-            static_cast<std::uint32_t>(off->size() - 1);
-        if (vw.rows != num_seg * va.cols) {
-          add("ir.operand_shape", i,
-              inst_name(prog_, i) + ": blocks must stack " +
-                  std::to_string(num_seg) + " factors of " +
-                  std::to_string(va.cols) + " rows (= " +
-                  std::to_string(num_seg * va.cols) + "), got " +
-                  shape_str(vw.rows, vw.cols));
-        }
-        expect_shape(i, va.rows, vw.cols);
-        expect_grad(i, va.requires_grad || vw.requires_grad);
         break;
       }
     }

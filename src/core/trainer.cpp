@@ -53,7 +53,7 @@ std::vector<EpochStats> train_classifier(
       const LabeledInstance& inst = train[idx];
       if (!compiled[idx]) {
         auto c = std::make_unique<Compiled>();
-        c->logit = model.forward_logits(c->tape, nn::PackedGraphs(inst.graph));
+        c->logit = model.forward_logits(c->tape, inst.graph);
         c->loss = c->tape.bce_with_logits(
             c->logit, static_cast<float>(inst.label), pos_weight);
         // The compile step is verified once per instance: the recorded

@@ -6,49 +6,11 @@
 #include <string>
 
 #include "nn/kernels_simd.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ns::nn {
 namespace {
 
 bool is_leaf(Op op) { return op == Op::kConstant || op == Op::kParam; }
-
-/// Same dispatch policy as matrix.cpp: below this many multiply-adds (or
-/// with an effectively single-threaded pool) the segmented kernels run
-/// inline, so no `runtime::RangeBody` std::function is ever constructed
-/// and the allocation-free inference contract holds.
-constexpr std::size_t kMinParallelOps = std::size_t{1} << 15;
-
-template <typename Body>
-void for_each_output_row(std::size_t rows, std::size_t total_ops,
-                         const Body& body) {
-  if (total_ops < kMinParallelOps ||
-      runtime::global_pool().effective_size() <= 1) {
-    body(0, rows);
-    return;
-  }
-  // NS_SUPPRESS(blocking, allocation): pool dispatch engages only above
-  // kMinParallelOps with a multi-thread pool; the steady-state inference
-  // contract is measured on the inline branch above, and dispatch cost is
-  // amortized over >=2^15 multiply-adds when taken.
-  runtime::global_pool().parallel_for(rows, body);
-}
-
-/// Rows [r0, r1) of `m`: `m` itself when they cover it (a one-segment
-/// program), otherwise a copy in `tmp`.
-const Matrix& row_block(const Matrix& m, std::size_t r0, std::size_t r1,
-                        Matrix& tmp) {
-  if (r0 == 0 && r1 == m.rows()) return m;
-  tmp = Matrix(r1 - r0, m.cols());
-  std::copy(m.data() + r0 * m.cols(), m.data() + r1 * m.cols(), tmp.data());
-  return tmp;
-}
-
-/// Rows [r0, r0 + src.rows()) of `dst` += src, one addition per element.
-void add_rows(Matrix& dst, std::size_t r0, const Matrix& src) {
-  float* d = dst.data() + r0 * dst.cols();
-  for (std::size_t k = 0; k < src.size(); ++k) d[k] += src.data()[k];
-}
 
 }  // namespace
 
@@ -130,12 +92,6 @@ void Executor::plan() {
   slots_.resize(slot_cap.size());
   for (std::size_t s = 0; s < slot_cap.size(); ++s) {
     slots_[s].reserve(slot_cap[s]);
-  }
-  seg_scratch_.assign(n, {});
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (insts[i].op == Op::kSegmentFrobeniusNormalize) {
-      seg_scratch_[i].assign(prog_->segments(insts[i].u0).size() - 1, 0.0f);
-    }
   }
 }
 
@@ -241,6 +197,9 @@ void Executor::forward() {
       case Op::kMatmul:
         matmul_into(value_of(in.a), value_of(in.b), out_of(i));
         break;
+      case Op::kMatmulAtB:
+        matmul_at_b_into(value_of(in.a), value_of(in.b), out_of(i));
+        break;
       case Op::kAdd: {
         const Matrix& va = value_of(in.a);
         const Matrix& vb = value_of(in.b);
@@ -317,6 +276,16 @@ void Executor::forward() {
       case Op::kSpmm:
         in.sparse->multiply_into(value_of(in.a), out_of(i));
         break;
+      case Op::kFrobeniusNormalize: {
+        const Matrix& va = value_of(in.a);
+        const float norm = va.frobenius_norm();
+        const float inv = norm > 0.0f ? 1.0f / norm : 0.0f;
+        Matrix& y = out_of(i);
+        for (std::size_t k = 0; k < y.size(); ++k) {
+          y.data()[k] = va.data()[k] * inv;
+        }
+        break;
+      }
       case Op::kAddRowBroadcast: {
         const Matrix& vx = value_of(in.a);
         const Matrix& vb = value_of(in.b);
@@ -365,6 +334,18 @@ void Executor::forward() {
         }
         break;
       }
+      case Op::kMeanRows: {
+        const Matrix& va = value_of(in.a);
+        Matrix& y = out_of(i);
+        y.fill(0.0f);
+        for (std::size_t r = 0; r < va.rows(); ++r) {
+          for (std::size_t c = 0; c < va.cols(); ++c) {
+            y.at(0, c) += va.at(r, c);
+          }
+        }
+        y.scale_in_place(1.0f / static_cast<float>(va.rows()));
+        break;
+      }
       case Op::kConcatCols: {
         const Matrix& va = value_of(in.a);
         const Matrix& vb = value_of(in.b);
@@ -410,112 +391,6 @@ void Executor::forward() {
             pos_weight * target * sp_neg + (1.0f - target) * sp_pos;
         break;
       }
-      // Segmented ops (DESIGN.md §13): each segment runs the same
-      // per-element float operations in the same order whatever the other
-      // segments hold, so a packed batch is bitwise equal to running its
-      // graphs one by one as one-segment programs.
-      case Op::kSegmentMeanRows: {
-        const Matrix& va = value_of(in.a);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& y = out_of(i);
-        y.fill(0.0f);
-        const std::size_t d = y.cols();
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          float* yrow = y.data() + g * d;
-          for (std::size_t r = off[g]; r < off[g + 1]; ++r) {
-            const float* row = va.data() + r * d;
-            for (std::size_t c = 0; c < d; ++c) yrow[c] += row[c];
-          }
-          const float inv = 1.0f / static_cast<float>(off[g + 1] - off[g]);
-          for (std::size_t c = 0; c < d; ++c) yrow[c] *= inv;
-        }
-        break;
-      }
-      case Op::kSegmentFrobeniusNormalize: {
-        const Matrix& va = value_of(in.a);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& y = out_of(i);
-        const std::size_t d = y.cols();
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const float* src = va.data() + off[g] * d;
-          const std::size_t count = (off[g + 1] - off[g]) * d;
-          double acc = 0.0;
-          for (std::size_t k = 0; k < count; ++k) {
-            acc += static_cast<double>(src[k]) * src[k];
-          }
-          const float norm = static_cast<float>(std::sqrt(acc));
-          seg_scratch_[i][g] = norm;
-          const float inv = norm > 0.0f ? 1.0f / norm : 0.0f;
-          float* dst = y.data() + off[g] * d;
-          for (std::size_t k = 0; k < count; ++k) dst[k] = src[k] * inv;
-        }
-        break;
-      }
-      case Op::kSegmentMatmulAtB: {
-        const Matrix& va = value_of(in.a);
-        const Matrix& vb = value_of(in.b);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& y = out_of(i);
-        y.fill(0.0f);
-        const std::size_t dac = va.cols(), dbc = vb.cols();
-        // Output row g·da + i is column i of A_g: same ascending-k
-        // accumulation (and zero skip) as matmul_at_b_into, with one
-        // owner thread per output row.
-        for_each_output_row(
-            y.rows(), static_cast<std::size_t>(va.rows()) * dac * dbc,
-            [&](std::size_t r0, std::size_t r1) {
-              for (std::size_t r = r0; r < r1; ++r) {
-                const std::size_t g = r / dac, col = r % dac;
-                float* crow = y.data() + r * dbc;
-                for (std::size_t k = off[g]; k < off[g + 1]; ++k) {
-                  const float aki = va.data()[k * dac + col];
-                  if (aki == 0.0f) continue;
-                  const float* brow = vb.data() + k * dbc;
-                  if (simd::axpy(crow, brow, aki, dbc)) continue;
-                  for (std::size_t j = 0; j < dbc; ++j) {
-                    crow[j] += aki * brow[j];
-                  }
-                }
-              }
-            });
-        break;
-      }
-      case Op::kSegmentBlockMatmul: {
-        const Matrix& va = value_of(in.a);
-        const Matrix& vw = value_of(in.b);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& y = out_of(i);
-        y.fill(0.0f);
-        const std::size_t d = va.cols(), dc = vw.cols();
-        for_each_output_row(
-            y.rows(), static_cast<std::size_t>(va.rows()) * d * dc,
-            [&](std::size_t r0, std::size_t r1) {
-              // Segment of the chunk's first row; advanced monotonically.
-              std::size_t g = static_cast<std::size_t>(
-                  std::upper_bound(off.begin(), off.end(),
-                                   static_cast<std::uint32_t>(r0)) -
-                  off.begin()) - 1;
-              for (std::size_t r = r0; r < r1; ++r) {
-                while (r >= off[g + 1]) ++g;
-                const float* wg = vw.data() + g * d * dc;
-                if (simd::gemm_rows(va.data(), d, wg, dc, y.data(), r,
-                                    r + 1)) {
-                  continue;
-                }
-                const float* arow = va.data() + r * d;
-                float* crow = y.data() + r * dc;
-                for (std::size_t k = 0; k < d; ++k) {
-                  const float aik = arow[k];
-                  if (aik == 0.0f) continue;
-                  const float* wrow = wg + k * dc;
-                  for (std::size_t j = 0; j < dc; ++j) {
-                    crow[j] += aik * wrow[j];
-                  }
-                }
-              }
-            });
-        break;
-      }
     }
   }
   ran_forward_ = true;
@@ -525,14 +400,10 @@ void Executor::forward() {
 // Backward interpreter
 // ---------------------------------------------------------------------------
 // Same formulas as the eager tape's per-op lambdas, walked in the same
-// reverse order. A segmented op applies its one-graph eager op's formula
-// per segment (mean_rows, frobenius_normalize, matmul_at_b, matmul); the
-// two products run the same kernels into a per-segment temporary that is
-// then added into the gradient once per element. Nodes with requires_grad
-// == false are skipped entirely — every accumulation into a requires_grad
-// buffer comes from a node that is itself requires_grad, so the skipped
-// work only ever touched buffers the eager tape allocated and then threw
-// away.
+// reverse order. Nodes with requires_grad == false are skipped entirely —
+// every accumulation into a requires_grad buffer comes from a node that is
+// itself requires_grad, so the skipped work only ever touched buffers the
+// eager tape allocated and then threw away.
 
 void Executor::backward(TensorId loss) {
   if (mode_ != ExecMode::kTraining) {
@@ -574,6 +445,15 @@ void Executor::backward(TensorId loss) {
         }
         if (rg(in.b)) {
           grads_[in.b].add_in_place(matmul_at_b(value_of(in.a), dy));
+        }
+        break;
+      case Op::kMatmulAtB:
+        // Y = Aᵀ·B: dA += B · dYᵀ ; dB += A · dY
+        if (rg(in.a)) {
+          grads_[in.a].add_in_place(matmul_a_bt(value_of(in.b), dy));
+        }
+        if (rg(in.b)) {
+          grads_[in.b].add_in_place(matmul(value_of(in.a), dy));
         }
         break;
       case Op::kAdd:
@@ -649,6 +529,25 @@ void Executor::backward(TensorId loss) {
           grads_[in.a].add_in_place(in.sparse->transposed().multiply(dy));
         }
         break;
+      case Op::kFrobeniusNormalize: {
+        // The input stays live in training, so its norm recomputes to the
+        // forward's bits.
+        const Matrix& va = value_of(in.a);
+        const float norm = va.frobenius_norm();
+        if (norm == 0.0f) break;
+        const float inv = 1.0f / norm;
+        // d/dX (X/‖X‖) : dX = dY/‖X‖ − X · (Σ dY∘X) / ‖X‖³
+        double dot = 0.0;
+        for (std::size_t k = 0; k < dy.size(); ++k) {
+          dot += static_cast<double>(dy.data()[k]) * va.data()[k];
+        }
+        const float kf = static_cast<float>(dot) * inv * inv * inv;
+        Matrix& da = grads_[in.a];
+        for (std::size_t k = 0; k < dy.size(); ++k) {
+          da.data()[k] += dy.data()[k] * inv - va.data()[k] * kf;
+        }
+        break;
+      }
       case Op::kAddRowBroadcast: {
         if (rg(in.a)) grads_[in.a].add_in_place(dy);
         if (rg(in.b)) {
@@ -697,6 +596,16 @@ void Executor::backward(TensorId loss) {
         if (rgs) grads_[in.b].at(0, 0) += static_cast<float>(acc);
         break;
       }
+      case Op::kMeanRows: {
+        const float inv = 1.0f / static_cast<float>(prog_->inst(in.a).rows);
+        Matrix& da = grads_[in.a];
+        for (std::size_t r = 0; r < da.rows(); ++r) {
+          for (std::size_t c = 0; c < da.cols(); ++c) {
+            da.at(r, c) += dy.at(0, c) * inv;
+          }
+        }
+        break;
+      }
       case Op::kConcatCols: {
         const bool rga = rg(in.a), rgb = rg(in.b);
         const std::size_t ca = prog_->inst(in.a).cols;
@@ -741,84 +650,6 @@ void Executor::backward(TensorId loss) {
         const float dx =
             in.f1 * in.f0 * (s - 1.0f) + (1.0f - in.f0) * s;
         grads_[in.a].at(0, 0) += dy.at(0, 0) * dx;
-        break;
-      }
-      case Op::kSegmentMeanRows: {
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& da = grads_[in.a];
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const float inv = 1.0f / static_cast<float>(off[g + 1] - off[g]);
-          for (std::size_t r = off[g]; r < off[g + 1]; ++r) {
-            for (std::size_t c = 0; c < da.cols(); ++c) {
-              da.at(r, c) += dy.at(g, c) * inv;
-            }
-          }
-        }
-        break;
-      }
-      case Op::kSegmentFrobeniusNormalize: {
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        const Matrix& va = value_of(in.a);
-        Matrix& da = grads_[in.a];
-        const std::size_t d = dy.cols();
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const float norm = seg_scratch_[i][g];
-          if (norm == 0.0f) continue;
-          const float inv = 1.0f / norm;
-          const std::size_t base = off[g] * d;
-          const std::size_t count = (off[g + 1] - off[g]) * d;
-          double dot = 0.0;
-          for (std::size_t k = 0; k < count; ++k) {
-            dot += static_cast<double>(dy.data()[base + k]) *
-                   va.data()[base + k];
-          }
-          const float kf = static_cast<float>(dot) * inv * inv * inv;
-          for (std::size_t k = 0; k < count; ++k) {
-            da.data()[base + k] +=
-                dy.data()[base + k] * inv - va.data()[base + k] * kf;
-          }
-        }
-        break;
-      }
-      case Op::kSegmentMatmulAtB: {
-        // Per segment, Y_g = A_gᵀ·B_g: dA_g += B_g·dY_gᵀ ; dB_g += A_g·dY_g.
-        const Matrix& va = value_of(in.a);
-        const Matrix& vb = value_of(in.b);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        const std::size_t da = va.cols();
-        Matrix ta, tb, tdy;
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const Matrix& dyg = row_block(dy, g * da, (g + 1) * da, tdy);
-          if (rg(in.a)) {
-            add_rows(grads_[in.a], off[g],
-                     matmul_a_bt(row_block(vb, off[g], off[g + 1], tb), dyg));
-          }
-          if (rg(in.b)) {
-            add_rows(grads_[in.b], off[g],
-                     matmul(row_block(va, off[g], off[g + 1], ta), dyg));
-          }
-        }
-        break;
-      }
-      case Op::kSegmentBlockMatmul: {
-        // Row r (segment g): Y[r,:] = A[r,:]·W_g, so
-        // dA_g += dY_g·W_gᵀ ; dW_g += A_gᵀ·dY_g.
-        const Matrix& va = value_of(in.a);
-        const Matrix& vw = value_of(in.b);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        const std::size_t d = va.cols();
-        Matrix ta, tw, tdy;
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const Matrix& dyg = row_block(dy, off[g], off[g + 1], tdy);
-          if (rg(in.a)) {
-            add_rows(grads_[in.a], off[g],
-                     matmul_a_bt(dyg, row_block(vw, g * d, (g + 1) * d, tw)));
-          }
-          if (rg(in.b)) {
-            add_rows(grads_[in.b], g * d,
-                     matmul_at_b(row_block(va, off[g], off[g + 1], ta), dyg));
-          }
-        }
         break;
       }
     }

@@ -113,9 +113,6 @@ class Executor {
   std::vector<std::int32_t> last_use_;  ///< per inst; num_insts() = live at end
   std::vector<Matrix> slots_;           ///< arena, reserved to planned capacity
   std::vector<Matrix> grads_;           ///< lazily sized; empty unless requires_grad
-  /// Per-inst, per-segment scalars (segment Frobenius norms); sized at plan
-  /// time so steady-state forward/backward stays allocation-free.
-  std::vector<std::vector<float>> seg_scratch_;
   bool grads_allocated_ = false;
   bool ran_forward_ = false;
 };

@@ -1,6 +1,5 @@
 #include "nn/models.hpp"
 
-#include <cassert>
 #include <cmath>
 
 #include "audit/verify_program.hpp"
@@ -21,19 +20,6 @@ std::unique_ptr<Executor> make_verified_executor(const Program& prog,
       prog, exec->plan_snapshot(),
       "audit::verify_workspace_plan(InferenceSession)");
   return exec;
-}
-
-/// N×1 column whose rows of segment g all hold 1/N_g: Eq. 9's 1/N per
-/// graph, applied via row_mul as one float multiply per element.
-Matrix segment_inv_count_column(const std::vector<std::uint32_t>& offsets) {
-  Matrix m(offsets.back(), 1);
-  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
-    const float inv = 1.0f / static_cast<float>(offsets[g + 1] - offsets[g]);
-    for (std::uint32_t r = offsets[g]; r < offsets[g + 1]; ++r) {
-      m.at(r, 0) = inv;
-    }
-  }
-  return m;
 }
 
 }  // namespace
@@ -96,71 +82,6 @@ GraphBatch GraphBatch::build(const CnfFormula& f) {
   return b;
 }
 
-PackedGraphs::PackedGraphs(const GraphBatch& g)
-    : num_graphs(1),
-      var_offsets{0, static_cast<std::uint32_t>(g.vc.num_vars)},
-      clause_offsets{0, static_cast<std::uint32_t>(g.vc.num_clauses)},
-      lit_offsets{0, static_cast<std::uint32_t>(g.lc.num_lits)},
-      single_(&g) {}
-
-PackedGraphs PackedGraphs::build(const std::vector<const GraphBatch*>& graphs) {
-  assert(!graphs.empty());
-  PackedGraphs p;
-  p.num_graphs = graphs.size();
-  p.var_offsets.reserve(graphs.size() + 1);
-  p.clause_offsets.reserve(graphs.size() + 1);
-  p.lit_offsets.reserve(graphs.size() + 1);
-  p.var_offsets.push_back(0);
-  p.clause_offsets.push_back(0);
-  p.lit_offsets.push_back(0);
-
-  std::size_t lclauses = 0;
-  std::vector<const SparseMatrix*> svc, scv, avc, acv, mlc, mcl;
-  for (const GraphBatch* g : graphs) {
-    assert(g != nullptr);
-    assert(g->vc.num_vars > 0 && g->vc.num_clauses > 0 &&
-           g->lc.num_lits > 0 && g->lc.num_clauses > 0);
-    p.var_offsets.push_back(
-        p.var_offsets.back() + static_cast<std::uint32_t>(g->vc.num_vars));
-    p.clause_offsets.push_back(
-        p.clause_offsets.back() +
-        static_cast<std::uint32_t>(g->vc.num_clauses));
-    p.lit_offsets.push_back(
-        p.lit_offsets.back() + static_cast<std::uint32_t>(g->lc.num_lits));
-    lclauses += g->lc.num_clauses;
-    svc.push_back(&g->vc.svc);
-    scv.push_back(&g->vc.scv);
-    avc.push_back(&g->vc.avc);
-    acv.push_back(&g->vc.acv);
-    mlc.push_back(&g->lc.mlc);
-    mcl.push_back(&g->lc.mcl);
-  }
-
-  GraphBatch& packed = p.owned_;
-  packed.vc.num_vars = p.var_offsets.back();
-  packed.vc.num_clauses = p.clause_offsets.back();
-  // The per-graph svc/scv are already mean-normalized; block-diagonal
-  // concatenation copies their values verbatim, so the packed operators
-  // are exactly the normalized blocks (no renormalization).
-  packed.vc.svc = SparseMatrix::block_diagonal(svc);
-  packed.vc.scv = SparseMatrix::block_diagonal(scv);
-  packed.vc.avc = SparseMatrix::block_diagonal(avc);
-  packed.vc.acv = SparseMatrix::block_diagonal(acv);
-
-  packed.lc.num_lits = p.lit_offsets.back();
-  packed.lc.num_clauses = lclauses;
-  packed.lc.mlc = SparseMatrix::block_diagonal(mlc);
-  packed.lc.mcl = SparseMatrix::block_diagonal(mcl);
-  packed.lc.flip.reserve(p.lit_offsets.back());
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    const std::uint32_t base = p.lit_offsets[g];
-    for (std::uint32_t f : graphs[g]->lc.flip) {
-      packed.lc.flip.push_back(base + f);
-    }
-  }
-  return p;
-}
-
 // ---------------------------------------------------------------------------
 // SatClassifier
 // ---------------------------------------------------------------------------
@@ -174,25 +95,15 @@ float SatClassifier::predict_probability(const GraphBatch& g) {
 // InferenceSession
 // ---------------------------------------------------------------------------
 
-// The one-graph batch borrows `g`'s operators, so the temporary PackedGraphs
-// may die after recording: the program binds only `g`.
 InferenceSession::InferenceSession(SatClassifier& model, const GraphBatch& g)
-    : InferenceSession(model, PackedGraphs(g)) {}
+    : logit_(model.forward_logits(tape_, g)),
+      exec_(make_verified_executor(tape_.program(), ExecMode::kInference)) {}
 
-InferenceSession::InferenceSession(SatClassifier& model, const PackedGraphs& p)
-    : logits_(model.forward_logits(tape_, p)),
-      exec_(make_verified_executor(tape_.program(), ExecMode::kInference)),
-      probs_(p.num_graphs, 0.0f) {}
-
-// NS_HOT(inference entry point: one planned block-diagonal forward per query)
-const std::vector<float>& InferenceSession::predict_probabilities() {
+// NS_HOT(inference entry point: one planned forward per query)
+float InferenceSession::predict_probability() {
   exec_->forward();
-  const Matrix& logits = exec_->value(logits_);
-  for (std::size_t g = 0; g < probs_.size(); ++g) {
-    const float x = logits.at(g, 0);
-    probs_[g] = 1.0f / (1.0f + std::exp(-x));
-  }
-  return probs_;
+  const float x = exec_->value(logit_).at(0, 0);
+  return 1.0f / (1.0f + std::exp(-x));
 }
 
 // ---------------------------------------------------------------------------
@@ -240,28 +151,26 @@ void MpnnLayer::collect_parameters(std::vector<Parameter*>& out) {
 LinearAttention::LinearAttention(std::size_t dim, std::mt19937_64& rng)
     : fq_(dim, dim, rng), fk_(dim, dim, rng), fv_(dim, dim, rng) {}
 
-TensorId LinearAttention::forward(Tape& tape, TensorId z, SegmentsId seg) {
+TensorId LinearAttention::forward(Tape& tape, TensorId z) {
   const std::size_t n = tape.rows(z);  // shape metadata; no execution
 
-  const TensorId q =
-      tape.segment_frobenius_normalize(fq_.forward(tape, z), seg);
-  const TensorId k =
-      tape.segment_frobenius_normalize(fk_.forward(tape, z), seg);
+  const TensorId q = tape.frobenius_normalize(fq_.forward(tape, z));
+  const TensorId k = tape.frobenius_normalize(fk_.forward(tape, z));
   const TensorId v = fv_.forward(tape, z);
 
-  // Per segment g: D_g = diag(1 + (1/N_g) Q̃_g (K̃_gᵀ·1)), stacked N×1.
+  // D = diag(1 + (1/N) Q̃ (K̃ᵀ·1)), an N×1 column.
   const TensorId ones = tape.constant(Matrix::ones(n, 1));
-  const TensorId invn = tape.constant(
-      segment_inv_count_column(tape.program().segments(seg.idx)));
-  const TensorId kt1 = tape.segment_matmul_at_b(k, ones, seg);  // (B·d)×1
-  const TensorId qk1 = tape.segment_block_matmul(q, kt1, seg);  // N×1
-  const TensorId d = tape.add_scalar(tape.row_mul(qk1, invn), 1.0f);
+  const TensorId invn =
+      tape.constant(Matrix(1, 1, 1.0f / static_cast<float>(n)));
+  const TensorId kt1 = tape.matmul_at_b(k, ones);  // d×1
+  const TensorId qk1 = tape.matmul(q, kt1);        // N×1
+  const TensorId d = tape.add_scalar(tape.scalar_mul(qk1, invn), 1.0f);
   const TensorId d_inv = tape.reciprocal(d);
 
-  // Z_out,g = D_g⁻¹ [ V_g + (1/N_g) Q̃_g (K̃_gᵀ V_g) ].
-  const TensorId kv = tape.segment_matmul_at_b(k, v, seg);      // (B·d)×d
-  const TensorId qkv = tape.segment_block_matmul(q, kv, seg);   // N×d
-  const TensorId attn = tape.add(v, tape.row_mul(qkv, invn));
+  // Z_out = D⁻¹ [ V + (1/N) Q̃ (K̃ᵀ V) ].
+  const TensorId kv = tape.matmul_at_b(k, v);   // d×d
+  const TensorId qkv = tape.matmul(q, kv);      // N×d
+  const TensorId attn = tape.add(v, tape.scalar_mul(qkv, invn));
   return tape.row_mul(attn, d_inv);
 }
 
@@ -286,8 +195,7 @@ HgtLayer::HgtLayer(std::size_t dim, std::size_t mpnn_depth, bool use_attention,
 
 std::pair<TensorId, TensorId> HgtLayer::forward(Tape& tape,
                                                 const VcGraphTensors& g,
-                                                TensorId xv, TensorId xc,
-                                                SegmentsId vseg) {
+                                                TensorId xv, TensorId xc) {
   for (MpnnLayer& layer : mpnn_) {
     std::tie(xv, xc) = layer.forward(tape, g, xv, xc);
   }
@@ -299,8 +207,7 @@ std::pair<TensorId, TensorId> HgtLayer::forward(Tape& tape,
     // optimizer learn how much global context to mix in — the CPU-scale
     // counterpart of SGFormer's GNN+attention combination.
     const TensorId gate = tape.param(&attention_gate_);
-    xv = tape.add(tape.scalar_mul(attention_.forward(tape, xv, vseg), gate),
-                  xv);
+    xv = tape.add(tape.scalar_mul(attention_.forward(tape, xv), gate), xv);
   }
   return {xv, xc};
 }
@@ -331,17 +238,15 @@ NeuroSelectModel::NeuroSelectModel(const NeuroSelectConfig& config)
   head_ = Mlp({config.hidden_dim, config.hidden_dim, 1}, rng);
 }
 
-TensorId NeuroSelectModel::forward_logits(Tape& tape, const PackedGraphs& p) {
-  const VcGraphTensors& g = p.packed().vc;
-  const SegmentsId vseg = tape.add_segments(p.var_offsets);
+TensorId NeuroSelectModel::forward_logits(Tape& tape, const GraphBatch& graph) {
+  const VcGraphTensors& g = graph.vc;
   TensorId xv = tape.broadcast_row(tape.param(&var_embed_), g.num_vars);
   TensorId xc = tape.broadcast_row(tape.param(&clause_embed_), g.num_clauses);
   for (HgtLayer& layer : layers_) {
-    std::tie(xv, xc) = layer.forward(tape, g, xv, xc, vseg);
+    std::tie(xv, xc) = layer.forward(tape, g, xv, xc);
   }
-  // Eq. 10: READOUT over variable-node embeddings only, one pooled row per
-  // graph; the MLP head then works row-wise, yielding the B×1 logit column.
-  const TensorId pooled = tape.segment_mean_rows(xv, vseg);
+  // Eq. 10: READOUT over variable-node embeddings only.
+  const TensorId pooled = tape.mean_rows(xv);
   return head_.forward(tape, pooled);
 }
 
@@ -371,10 +276,8 @@ GinModel::GinModel(std::size_t hidden_dim, std::size_t num_layers,
   head_ = Mlp({2 * hidden_dim, hidden_dim, 1}, rng);
 }
 
-TensorId GinModel::forward_logits(Tape& tape, const PackedGraphs& p) {
-  const VcGraphTensors& g = p.packed().vc;
-  const SegmentsId vseg = tape.add_segments(p.var_offsets);
-  const SegmentsId cseg = tape.add_segments(p.clause_offsets);
+TensorId GinModel::forward_logits(Tape& tape, const GraphBatch& graph) {
+  const VcGraphTensors& g = graph.vc;
   TensorId xv = tape.broadcast_row(tape.param(&var_embed_), g.num_vars);
   TensorId xc = tape.broadcast_row(tape.param(&clause_embed_), g.num_clauses);
   for (GinLayer& layer : layers_) {
@@ -388,8 +291,7 @@ TensorId GinModel::forward_logits(Tape& tape, const PackedGraphs& p) {
     xc = tape.relu(hc);
   }
   const TensorId pooled =
-      tape.concat_cols(tape.segment_mean_rows(xv, vseg),
-                       tape.segment_mean_rows(xc, cseg));
+      tape.concat_cols(tape.mean_rows(xv), tape.mean_rows(xc));
   return head_.forward(tape, pooled);
 }
 
@@ -421,9 +323,8 @@ NeuroSatModel::NeuroSatModel(std::size_t hidden_dim, std::size_t num_rounds,
   head_ = Mlp({hidden_dim, hidden_dim, 1}, rng);
 }
 
-TensorId NeuroSatModel::forward_logits(Tape& tape, const PackedGraphs& p) {
-  const LcGraphTensors& g = p.packed().lc;
-  const SegmentsId lseg = tape.add_segments(p.lit_offsets);
+TensorId NeuroSatModel::forward_logits(Tape& tape, const GraphBatch& graph) {
+  const LcGraphTensors& g = graph.lc;
   const std::size_t d = lit_update_.hidden_dim();
 
   LstmCell::State lit_state{
@@ -438,15 +339,14 @@ TensorId NeuroSatModel::forward_logits(Tape& tape, const PackedGraphs& p) {
     const TensorId to_clause =
         tape.spmm(&g.mcl, lit_msg_.forward(tape, lit_state.h));
     clause_state = clause_update_.forward(tape, to_clause, clause_state);
-    // Literals aggregate from clauses and see their own negation's state;
-    // the flip pairs each literal with its negation inside its own graph.
+    // Literals aggregate from clauses and see their own negation's state.
     const TensorId to_lit =
         tape.spmm(&g.mlc, clause_msg_.forward(tape, clause_state.h));
     const TensorId flipped = tape.permute_rows(lit_state.h, g.flip);
     lit_state = lit_update_.forward(
         tape, tape.concat_cols(to_lit, flipped), lit_state);
   }
-  const TensorId pooled = tape.segment_mean_rows(lit_state.h, lseg);
+  const TensorId pooled = tape.mean_rows(lit_state.h);
   return head_.forward(tape, pooled);
 }
 

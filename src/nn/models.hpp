@@ -12,9 +12,8 @@
 ///  - `NeuroSatModel`: literal–clause graph with LSTM message passing
 ///    (the NeuroSAT baseline).
 ///
-/// All models record one forward over `PackedGraphs`, a block-diagonal
-/// batch of `GraphBatch`es (the cached sparse operators of one CNF
-/// instance); a single instance is the one-graph batch.
+/// Every model records one forward over one `GraphBatch`, the cached
+/// sparse operators of one CNF instance (DESIGN.md §13).
 
 #include <memory>
 #include <string_view>
@@ -58,51 +57,16 @@ struct GraphBatch {
   static GraphBatch build(const CnfFormula& f);
 };
 
-/// A batch of instances as one block-diagonal graph (DESIGN.md §13): graph
-/// g owns the contiguous row ranges `[var_offsets[g], var_offsets[g+1])`
-/// etc. of the stacked node matrices, and every sparse operator of
-/// `packed()` is the block-diagonal concatenation of the per-graph
-/// operators, so one recorded program evaluates the entire batch. A single
-/// instance is the one-graph batch. Ragged batches are the normal case;
-/// every graph must be non-empty.
-struct PackedGraphs {
-  /// The one-graph batch: offsets {0, n} from `g`'s own sizes, operators
-  /// used in place (not copied), so `g` must outlive this object.
-  explicit PackedGraphs(const GraphBatch& g);
-
-  /// Packs the graphs in order. The inputs must outlive nothing — all
-  /// operators are copied into the block-diagonal matrices.
-  static PackedGraphs build(const std::vector<const GraphBatch*>& graphs);
-
-  /// The batch's operators: the borrowed graph or the owned packing.
-  const GraphBatch& packed() const {
-    return single_ != nullptr ? *single_ : owned_;
-  }
-
-  std::size_t num_graphs = 0;
-  std::vector<std::uint32_t> var_offsets;     ///< size num_graphs+1
-  std::vector<std::uint32_t> clause_offsets;  ///< vc-graph clause rows
-  std::vector<std::uint32_t> lit_offsets;     ///< lc-graph literal rows
-
- private:
-  PackedGraphs() = default;
-
-  const GraphBatch* single_ = nullptr;  ///< the one graph, when borrowed
-  GraphBatch owned_;                    ///< block-diagonal operators
-};
-
 /// Common interface of the Table-2 classifiers. The logit is for the
 /// positive class "the frequency-guided deletion policy wins" (label 1).
 class SatClassifier : public Module {
  public:
   virtual std::string_view name() const = 0;
 
-  /// Records the forward pass over a packed batch on `tape` and returns the
-  /// (B×1) column of logits, row g for graph g; one instance is the
-  /// one-graph batch `PackedGraphs(g)`. Row g is bitwise equal to the logit
-  /// of graph g recorded alone, at any thread count: the segmented ops run
-  /// the same float operations in the same order per graph.
-  virtual TensorId forward_logits(Tape& tape, const PackedGraphs& p) = 0;
+  /// Records the forward pass over one instance's graph on `tape` and
+  /// returns its (1×1) logit. The graph must have at least one variable and
+  /// one clause.
+  virtual TensorId forward_logits(Tape& tape, const GraphBatch& g) = 0;
 
   /// Inference convenience: P(label == 1). Records once and runs an
   /// inference-mode executor (no gradient storage, planned workspace); for
@@ -110,37 +74,28 @@ class SatClassifier : public Module {
   float predict_probability(const GraphBatch& g);
 };
 
-/// Records a classifier's forward over one instance or a packed batch once,
-/// then re-executes it against a liveness-planned inference workspace. One
-/// `predict_probabilities()` call evaluates the whole batch through a single
-/// program execution — thread-level parallelism lives inside the big
-/// GEMM/SpMM kernels, not across graphs. Repeated predictions read the
-/// model's *current* parameter values and perform zero heap allocations per
-/// call after construction (with a single-thread kernel pool; multi-thread
-/// fan-out allocates inside the pool dispatch). The model and the graphs
-/// whose operators the program binds must outlive the session.
+/// Records a classifier's forward over one instance once, then re-executes
+/// it against a liveness-planned inference workspace. Repeated predictions
+/// read the model's *current* parameter values and perform zero heap
+/// allocations per call after construction (with a single-thread kernel
+/// pool; multi-thread fan-out allocates inside the pool dispatch). The
+/// model and the graph whose operators the program binds must outlive the
+/// session. Many graphs run as one session each across the pool
+/// (`core::classify_batch`).
 class InferenceSession {
  public:
-  /// One instance, as the one-graph batch `PackedGraphs(g)`.
   InferenceSession(SatClassifier& model, const GraphBatch& g);
-  InferenceSession(SatClassifier& model, const PackedGraphs& p);
 
-  /// P(label == 1) per graph, in batch order. The reference stays valid
-  /// until the next call.
-  const std::vector<float>& predict_probabilities();
-
-  /// P(label == 1) of the first graph — the only one of a one-instance
-  /// session.
-  float predict_probability() { return predict_probabilities().front(); }
+  /// P(label == 1) for the session's graph.
+  float predict_probability();
 
   const Program& program() const { return tape_.program(); }
   const Executor& executor() const { return *exec_; }
 
  private:
   Tape tape_;
-  TensorId logits_;
+  TensorId logit_;
   std::unique_ptr<Executor> exec_;
-  std::vector<float> probs_;
 };
 
 /// One message-passing layer over the bipartite graph (Eqs. 6–7). The MLPs
@@ -168,10 +123,8 @@ class LinearAttention : public Module {
   LinearAttention() = default;
   LinearAttention(std::size_t dim, std::mt19937_64& rng);
 
-  /// Attention over a row-stacked `z`: each segment of `seg` (one graph's
-  /// variable rows) attends only within itself, so a packed batch computes
-  /// exactly the float sequence of each graph alone.
-  TensorId forward(Tape& tape, TensorId z, SegmentsId seg);
+  /// Attention over the rows of `z` (one graph's variable nodes).
+  TensorId forward(Tape& tape, TensorId z);
 
   void collect_parameters(std::vector<Parameter*>& out) override;
 
@@ -187,12 +140,8 @@ class HgtLayer : public Module {
   HgtLayer(std::size_t dim, std::size_t mpnn_depth, bool use_attention,
            std::mt19937_64& rng);
 
-  /// Over a block-diagonally packed graph the MPNN stack runs unchanged
-  /// (the packed operators make it per-graph by construction) and the
-  /// attention block runs per segment of `vseg`, the variable rows.
   std::pair<TensorId, TensorId> forward(Tape& tape, const VcGraphTensors& g,
-                                        TensorId xv, TensorId xc,
-                                        SegmentsId vseg);
+                                        TensorId xv, TensorId xc);
 
   void collect_parameters(std::vector<Parameter*>& out) override;
 
@@ -220,7 +169,7 @@ class NeuroSelectModel final : public SatClassifier {
   std::string_view name() const override {
     return config_.use_attention ? "NeuroSelect" : "NeuroSelect-w/o-attention";
   }
-  TensorId forward_logits(Tape& tape, const PackedGraphs& p) override;
+  TensorId forward_logits(Tape& tape, const GraphBatch& g) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
   const NeuroSelectConfig& config() const { return config_; }
@@ -239,7 +188,7 @@ class GinModel final : public SatClassifier {
   GinModel(std::size_t hidden_dim, std::size_t num_layers, std::uint64_t seed);
 
   std::string_view name() const override { return "G4SATBench-GIN"; }
-  TensorId forward_logits(Tape& tape, const PackedGraphs& p) override;
+  TensorId forward_logits(Tape& tape, const GraphBatch& g) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:
@@ -259,7 +208,7 @@ class NeuroSatModel final : public SatClassifier {
                 std::uint64_t seed);
 
   std::string_view name() const override { return "NeuroSAT"; }
-  TensorId forward_logits(Tape& tape, const PackedGraphs& p) override;
+  TensorId forward_logits(Tape& tape, const GraphBatch& g) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:

@@ -21,6 +21,7 @@ const char* op_name(Op op) {
     case Op::kConstant: return "constant";
     case Op::kParam: return "param";
     case Op::kMatmul: return "matmul";
+    case Op::kMatmulAtB: return "matmul_at_b";
     case Op::kAdd: return "add";
     case Op::kSub: return "sub";
     case Op::kHadamard: return "hadamard";
@@ -30,18 +31,16 @@ const char* op_name(Op op) {
     case Op::kSigmoid: return "sigmoid";
     case Op::kTanh: return "tanh";
     case Op::kSpmm: return "spmm";
+    case Op::kFrobeniusNormalize: return "frobenius_normalize";
     case Op::kAddRowBroadcast: return "add_row_broadcast";
     case Op::kBroadcastRow: return "broadcast_row";
     case Op::kRowMul: return "row_mul";
     case Op::kScalarMul: return "scalar_mul";
+    case Op::kMeanRows: return "mean_rows";
     case Op::kConcatCols: return "concat_cols";
     case Op::kSliceCols: return "slice_cols";
     case Op::kPermuteRows: return "permute_rows";
     case Op::kBceWithLogits: return "bce_with_logits";
-    case Op::kSegmentMeanRows: return "segment_mean_rows";
-    case Op::kSegmentFrobeniusNormalize: return "segment_frobenius_normalize";
-    case Op::kSegmentMatmulAtB: return "segment_matmul_at_b";
-    case Op::kSegmentBlockMatmul: return "segment_block_matmul";
   }
   return "?";
 }
@@ -114,6 +113,23 @@ TensorId Program::matmul(TensorId a, TensorId b) {
   n.a = a.idx;
   n.b = b.idx;
   n.rows = va.rows;
+  n.cols = vb.cols;
+  return push(n);
+}
+
+TensorId Program::matmul_at_b(TensorId a, TensorId b) {
+  const Inst& va = operand("matmul_at_b", a);
+  const Inst& vb = operand("matmul_at_b", b);
+  if (va.rows != vb.rows) {
+    fail("matmul_at_b", "row counts differ: A is " + shape_str(va) +
+                            ", B is " + shape_str(vb));
+  }
+  Inst n;
+  n.op = Op::kMatmulAtB;
+  n.requires_grad = va.requires_grad || vb.requires_grad;
+  n.a = a.idx;
+  n.b = b.idx;
+  n.rows = va.cols;
   n.cols = vb.cols;
   return push(n);
 }
@@ -240,6 +256,17 @@ TensorId Program::spmm(const SparseMatrix* s, TensorId x) {
   return push(n);
 }
 
+TensorId Program::frobenius_normalize(TensorId a) {
+  const Inst& va = operand("frobenius_normalize", a);
+  Inst n;
+  n.op = Op::kFrobeniusNormalize;
+  n.requires_grad = va.requires_grad;
+  n.a = a.idx;
+  n.rows = va.rows;
+  n.cols = va.cols;
+  return push(n);
+}
+
 TensorId Program::add_row_broadcast(TensorId x, TensorId bias_row) {
   const Inst& vx = operand("add_row_broadcast", x);
   const Inst& vb = operand("add_row_broadcast", bias_row);
@@ -308,6 +335,18 @@ TensorId Program::scalar_mul(TensorId x, TensorId s) {
   return push(n);
 }
 
+TensorId Program::mean_rows(TensorId a) {
+  const Inst& va = operand("mean_rows", a);
+  if (va.rows == 0) fail("mean_rows", "input has no rows");
+  Inst n;
+  n.op = Op::kMeanRows;
+  n.requires_grad = va.requires_grad;
+  n.a = a.idx;
+  n.rows = 1;
+  n.cols = va.cols;
+  return push(n);
+}
+
 TensorId Program::concat_cols(TensorId a, TensorId b) {
   const Inst& va = operand("concat_cols", a);
   const Inst& vb = operand("concat_cols", b);
@@ -366,128 +405,6 @@ TensorId Program::permute_rows(TensorId a, std::vector<std::uint32_t> perm) {
   n.cols = va.cols;
   n.u0 = static_cast<std::uint32_t>(perms_.size());
   perms_.push_back(std::move(perm));
-  return push(n);
-}
-
-const std::vector<std::uint32_t>& Program::segment_operand(
-    const char* op, SegmentsId seg) const {
-  if (!seg.valid() || static_cast<std::size_t>(seg.idx) >= segments_.size()) {
-    fail(op, "SegmentsId " + std::to_string(seg.idx) +
-                 " does not name registered segments (program has " +
-                 std::to_string(segments_.size()) + ")");
-  }
-  return segments_[seg.idx];
-}
-
-SegmentsId Program::add_segments(std::vector<std::uint32_t> offsets) {
-  if (offsets.size() < 2) {
-    fail("add_segments", "need at least [0, N], got " +
-                             std::to_string(offsets.size()) + " entries");
-  }
-  if (offsets.front() != 0) {
-    fail("add_segments",
-         "offsets must start at 0, got " + std::to_string(offsets.front()));
-  }
-  for (std::size_t g = 1; g < offsets.size(); ++g) {
-    if (offsets[g] <= offsets[g - 1]) {
-      fail("add_segments", "offsets must be strictly increasing (segment " +
-                               std::to_string(g - 1) + " is [" +
-                               std::to_string(offsets[g - 1]) + ", " +
-                               std::to_string(offsets[g]) + "))");
-    }
-  }
-  segments_.push_back(std::move(offsets));
-  return SegmentsId{static_cast<std::int32_t>(segments_.size()) - 1};
-}
-
-TensorId Program::segment_mean_rows(TensorId a, SegmentsId seg) {
-  const Inst& va = operand("segment_mean_rows", a);
-  const std::vector<std::uint32_t>& off =
-      segment_operand("segment_mean_rows", seg);
-  if (off.back() != va.rows) {
-    fail("segment_mean_rows", "segments cover " + std::to_string(off.back()) +
-                                  " rows but input is " + shape_str(va));
-  }
-  Inst n;
-  n.op = Op::kSegmentMeanRows;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = static_cast<std::uint32_t>(off.size() - 1);
-  n.cols = va.cols;
-  n.u0 = static_cast<std::uint32_t>(seg.idx);
-  return push(n);
-}
-
-TensorId Program::segment_frobenius_normalize(TensorId a, SegmentsId seg) {
-  const Inst& va = operand("segment_frobenius_normalize", a);
-  const std::vector<std::uint32_t>& off =
-      segment_operand("segment_frobenius_normalize", seg);
-  if (off.back() != va.rows) {
-    fail("segment_frobenius_normalize",
-         "segments cover " + std::to_string(off.back()) +
-             " rows but input is " + shape_str(va));
-  }
-  Inst n;
-  n.op = Op::kSegmentFrobeniusNormalize;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  n.u0 = static_cast<std::uint32_t>(seg.idx);
-  return push(n);
-}
-
-TensorId Program::segment_matmul_at_b(TensorId a, TensorId b, SegmentsId seg) {
-  const Inst& va = operand("segment_matmul_at_b", a);
-  const Inst& vb = operand("segment_matmul_at_b", b);
-  const std::vector<std::uint32_t>& off =
-      segment_operand("segment_matmul_at_b", seg);
-  if (va.rows != vb.rows) {
-    fail("segment_matmul_at_b", "row counts differ: A is " + shape_str(va) +
-                                    ", B is " + shape_str(vb));
-  }
-  if (off.back() != va.rows) {
-    fail("segment_matmul_at_b", "segments cover " + std::to_string(off.back()) +
-                                    " rows but inputs have " +
-                                    std::to_string(va.rows));
-  }
-  Inst n;
-  n.op = Op::kSegmentMatmulAtB;
-  n.requires_grad = va.requires_grad || vb.requires_grad;
-  n.a = a.idx;
-  n.b = b.idx;
-  n.rows = static_cast<std::uint32_t>(off.size() - 1) * va.cols;
-  n.cols = vb.cols;
-  n.u0 = static_cast<std::uint32_t>(seg.idx);
-  return push(n);
-}
-
-TensorId Program::segment_block_matmul(TensorId a, TensorId blocks,
-                                       SegmentsId seg) {
-  const Inst& va = operand("segment_block_matmul", a);
-  const Inst& vw = operand("segment_block_matmul", blocks);
-  const std::vector<std::uint32_t>& off =
-      segment_operand("segment_block_matmul", seg);
-  if (off.back() != va.rows) {
-    fail("segment_block_matmul",
-         "segments cover " + std::to_string(off.back()) +
-             " rows but input is " + shape_str(va));
-  }
-  const std::uint32_t num_seg = static_cast<std::uint32_t>(off.size() - 1);
-  if (vw.rows != num_seg * va.cols) {
-    fail("segment_block_matmul",
-         "blocks must stack " + std::to_string(num_seg) + " factors of " +
-             std::to_string(va.cols) + " rows (= " +
-             std::to_string(num_seg * va.cols) + "), got " + shape_str(vw));
-  }
-  Inst n;
-  n.op = Op::kSegmentBlockMatmul;
-  n.requires_grad = va.requires_grad || vw.requires_grad;
-  n.a = a.idx;
-  n.b = blocks.idx;
-  n.rows = va.rows;
-  n.cols = vw.cols;
-  n.u0 = static_cast<std::uint32_t>(seg.idx);
   return push(n);
 }
 

@@ -22,10 +22,9 @@
 /// products, elementwise arithmetic and activations, row scaling (the D⁻¹
 /// of Eq. 9), broadcasting, slicing/concatenation (LSTM gates), row
 /// permutation (the literal-flip of NeuroSAT), a numerically stable
-/// BCE-with-logits loss (Eq. 11), and the segmented ops — per-graph
-/// readout (Eq. 10), Frobenius normalization (Eq. 8) and the attention
-/// products (Eq. 9) over a block-diagonal batch, one graph being the
-/// one-segment case.
+/// BCE-with-logits loss (Eq. 11), the mean READOUT (Eq. 10), Frobenius
+/// normalization (Eq. 8) and the AᵀB product of the attention (Eq. 9).
+/// A program records one graph (DESIGN.md §13).
 
 #include <cstdint>
 #include <vector>
@@ -52,20 +51,12 @@ struct TensorId {
   bool valid() const { return idx >= 0; }
 };
 
-/// Handle to a segment-offset vector registered on a Program. Segments
-/// partition the rows of a block-diagonally packed tensor into its
-/// per-graph blocks: offsets [o_0=0, o_1, ..., o_B=N], strictly
-/// increasing, so graph g owns rows [o_g, o_{g+1}) (DESIGN.md §13).
-struct SegmentsId {
-  std::int32_t idx = -1;
-  bool valid() const { return idx >= 0; }
-};
-
 /// Opcode of one recorded instruction.
 enum class Op : std::uint8_t {
   kConstant,
   kParam,
   kMatmul,
+  kMatmulAtB,
   kAdd,
   kSub,
   kHadamard,
@@ -75,18 +66,16 @@ enum class Op : std::uint8_t {
   kSigmoid,
   kTanh,
   kSpmm,
+  kFrobeniusNormalize,
   kAddRowBroadcast,
   kBroadcastRow,
   kRowMul,
   kScalarMul,
+  kMeanRows,
   kConcatCols,
   kSliceCols,
   kPermuteRows,
   kBceWithLogits,
-  kSegmentMeanRows,
-  kSegmentFrobeniusNormalize,
-  kSegmentMatmulAtB,
-  kSegmentBlockMatmul,
 };
 
 /// Printable opcode name (diagnostics and tests).
@@ -103,7 +92,7 @@ struct Inst {
   std::uint32_t cols = 0;
   float f0 = 0.0f;  ///< add_scalar addend / BCE target
   float f1 = 0.0f;  ///< BCE pos_weight
-  std::uint32_t u0 = 0;  ///< literal/perm/segments pool index / slice start / broadcast n
+  std::uint32_t u0 = 0;  ///< literal/perm pool index, slice start, row count
   std::uint32_t u1 = 0;  ///< slice length
   Parameter* param = nullptr;            ///< kParam binding (live, not copied)
   const SparseMatrix* sparse = nullptr;  ///< kSpmm operator; must outlive runs
@@ -129,6 +118,7 @@ class Program {
 
   // --- dense algebra -----------------------------------------------------
   TensorId matmul(TensorId a, TensorId b);  ///< A·B
+  TensorId matmul_at_b(TensorId a, TensorId b);  ///< Aᵀ·B (Eq. 9's K̃ᵀV)
   TensorId add(TensorId a, TensorId b);
   TensorId sub(TensorId a, TensorId b);
   TensorId hadamard(TensorId a, TensorId b);  ///< elementwise product
@@ -146,6 +136,9 @@ class Program {
   /// per matrix and cached (inference-only executions never pay for it).
   TensorId spmm(const SparseMatrix* s, TensorId x);
 
+  /// Y = X / ‖X‖_F (Eq. 8's Q̃/K̃); an all-zero X maps to zeros.
+  TensorId frobenius_normalize(TensorId a);
+
   /// Y = X + 1·b, bias row `b` (1×d) broadcast over rows.
   TensorId add_row_broadcast(TensorId x, TensorId bias_row);
 
@@ -155,8 +148,12 @@ class Program {
   /// Y_ij = X_ij * s_i with s an (N×1) column (Eq. 9's D⁻¹ application).
   TensorId row_mul(TensorId x, TensorId s);
 
-  /// Y = X * s with s a trainable (1×1) scalar node (ReZero-style gates).
+  /// Y = X * s with s a (1×1) scalar node (ReZero-style gates, Eq. 9's 1/N).
   TensorId scalar_mul(TensorId x, TensorId s);
+
+  /// Column mean over all rows, (N×d) → (1×d), N > 0. The READOUT of
+  /// Eq. 10.
+  TensorId mean_rows(TensorId a);
 
   /// Horizontal concatenation [A | B].
   TensorId concat_cols(TensorId a, TensorId b);
@@ -166,32 +163,6 @@ class Program {
 
   /// Y[i] = X[perm[i]]; `perm` must be a permutation of the row indices.
   TensorId permute_rows(TensorId a, std::vector<std::uint32_t> perm);
-
-  // --- segmented ops (block-diagonal batches, DESIGN.md §13) -------------
-  /// Registers a segment-offset vector [0, o_1, ..., N] (strictly
-  /// increasing) partitioning packed rows into per-graph blocks; one graph
-  /// is [0, N]. The same handle is shared by every segmented op over
-  /// tensors with that row partition.
-  SegmentsId add_segments(std::vector<std::uint32_t> offsets);
-
-  /// Per-segment column mean: (N×d, B segments) → (B×d); output row g is
-  /// the mean of rows [o_g, o_{g+1}). The READOUT of Eq. 10.
-  TensorId segment_mean_rows(TensorId a, SegmentsId seg);
-
-  /// Per-segment Frobenius normalization: each block of rows is divided by
-  /// its own ‖·‖_F (Eq. 8's Q̃/K̃). (N×d) → (N×d).
-  TensorId segment_frobenius_normalize(TensorId a, SegmentsId seg);
-
-  /// Per-segment AᵀB, stacked: (A N×da, B N×db) → (B·da)×db where output
-  /// block g (rows [g·da, (g+1)·da)) is A_gᵀ·B_g. The batched K̃ᵀV / K̃ᵀ1
-  /// of Eq. 9.
-  TensorId segment_matmul_at_b(TensorId a, TensorId b, SegmentsId seg);
-
-  /// Row-blockwise matmul against stacked square-ish blocks: (A N×d,
-  /// W (B·d)×dc) → N×dc where output row r (in segment g) is
-  /// A[r,:]·W_g. Applies the per-graph d×dc factors produced by
-  /// segment_matmul_at_b back to every packed row (the Q̃(K̃ᵀV) of Eq. 9).
-  TensorId segment_block_matmul(TensorId a, TensorId blocks, SegmentsId seg);
 
   // --- losses -----------------------------------------------------------
   /// Numerically stable binary cross-entropy on a (1×1) logit (Eq. 11).
@@ -218,12 +189,8 @@ class Program {
   const std::vector<std::uint32_t>& perm(std::size_t pool_idx) const {
     return perms_[pool_idx];
   }
-  const std::vector<std::uint32_t>& segments(std::size_t pool_idx) const {
-    return segments_[pool_idx];
-  }
   std::size_t num_literals() const { return literals_.size(); }
   std::size_t num_perms() const { return perms_.size(); }
-  std::size_t num_segments() const { return segments_.size(); }
 
   /// Mutable access to a recorded instruction. Exists solely so audit
   /// fault-injection tests can corrupt a program in place; production code
@@ -239,14 +206,9 @@ class Program {
   const Inst& operand(const char* op, TensorId id) const;
   TensorId push(Inst inst);
 
-  /// Validates a segments handle; returns its offsets.
-  const std::vector<std::uint32_t>& segment_operand(const char* op,
-                                                    SegmentsId seg) const;
-
   std::vector<Inst> insts_;
   std::vector<Matrix> literals_;
   std::vector<std::vector<std::uint32_t>> perms_;
-  std::vector<std::vector<std::uint32_t>> segments_;
 };
 
 }  // namespace ns::nn

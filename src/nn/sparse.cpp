@@ -41,35 +41,6 @@ SparseMatrix SparseMatrix::from_coo(std::size_t rows, std::size_t cols,
   return s;
 }
 
-SparseMatrix SparseMatrix::block_diagonal(
-    const std::vector<const SparseMatrix*>& blocks) {
-  SparseMatrix s;
-  std::size_t total_nnz = 0;
-  for (const SparseMatrix* b : blocks) {
-    assert(b != nullptr);
-    s.rows_ += b->rows_;
-    s.cols_ += b->cols_;
-    total_nnz += b->nnz();
-  }
-  s.row_ptr_.reserve(s.rows_ + 1);
-  s.row_ptr_.push_back(0);
-  s.col_.reserve(total_nnz);
-  s.val_.reserve(total_nnz);
-  std::size_t edge_base = 0, col_base = 0;
-  for (const SparseMatrix* b : blocks) {
-    for (std::size_t r = 0; r < b->rows_; ++r) {
-      s.row_ptr_.push_back(edge_base + b->row_ptr_[r + 1]);
-    }
-    for (std::size_t e = 0; e < b->nnz(); ++e) {
-      s.col_.push_back(static_cast<std::uint32_t>(col_base + b->col_[e]));
-      s.val_.push_back(b->val_[e]);
-    }
-    edge_base += b->nnz();
-    col_base += b->cols_;
-  }
-  return s;
-}
-
 void SparseMatrix::multiply_into(const Matrix& x, Matrix& y) const {
   assert(x.rows() == cols_);
   assert(y.rows() == rows_ && y.cols() == x.cols());

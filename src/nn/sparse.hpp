@@ -26,15 +26,6 @@ class SparseMatrix {
                                const std::vector<std::uint32_t>& col_idx,
                                const std::vector<float>& values);
 
-  /// Block-diagonal concatenation diag(B_0, ..., B_{k-1}): rows and columns
-  /// are the sums over blocks, block i's entries shifted by the preceding
-  /// blocks' offsets. Values and the within-row entry order are copied
-  /// verbatim, so multiplying a block-diagonally packed matrix is bitwise
-  /// identical, row range by row range, to multiplying the blocks one by
-  /// one (the packing layer of DESIGN.md §13 rests on this).
-  static SparseMatrix block_diagonal(
-      const std::vector<const SparseMatrix*>& blocks);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return col_.size(); }

@@ -49,6 +49,9 @@ class Tape {
 
   // --- dense algebra -----------------------------------------------------
   TensorId matmul(TensorId a, TensorId b) { return rec(prog_.matmul(a, b)); }
+  TensorId matmul_at_b(TensorId a, TensorId b) {
+    return rec(prog_.matmul_at_b(a, b));
+  }
   TensorId add(TensorId a, TensorId b) { return rec(prog_.add(a, b)); }
   TensorId sub(TensorId a, TensorId b) { return rec(prog_.sub(a, b)); }
   TensorId hadamard(TensorId a, TensorId b) {
@@ -68,6 +71,9 @@ class Tape {
   TensorId spmm(const SparseMatrix* s, TensorId x) {
     return rec(prog_.spmm(s, x));
   }
+  TensorId frobenius_normalize(TensorId a) {
+    return rec(prog_.frobenius_normalize(a));
+  }
   TensorId add_row_broadcast(TensorId x, TensorId bias_row) {
     return rec(prog_.add_row_broadcast(x, bias_row));
   }
@@ -78,6 +84,7 @@ class Tape {
   TensorId scalar_mul(TensorId x, TensorId s) {
     return rec(prog_.scalar_mul(x, s));
   }
+  TensorId mean_rows(TensorId a) { return rec(prog_.mean_rows(a)); }
   TensorId concat_cols(TensorId a, TensorId b) {
     return rec(prog_.concat_cols(a, b));
   }
@@ -86,23 +93,6 @@ class Tape {
   }
   TensorId permute_rows(TensorId a, std::vector<std::uint32_t> perm) {
     return rec(prog_.permute_rows(a, std::move(perm)));
-  }
-
-  // --- segmented ops (block-diagonal batches, DESIGN.md §13) -------------
-  SegmentsId add_segments(std::vector<std::uint32_t> offsets) {
-    return prog_.add_segments(std::move(offsets));
-  }
-  TensorId segment_mean_rows(TensorId a, SegmentsId seg) {
-    return rec(prog_.segment_mean_rows(a, seg));
-  }
-  TensorId segment_frobenius_normalize(TensorId a, SegmentsId seg) {
-    return rec(prog_.segment_frobenius_normalize(a, seg));
-  }
-  TensorId segment_matmul_at_b(TensorId a, TensorId b, SegmentsId seg) {
-    return rec(prog_.segment_matmul_at_b(a, b, seg));
-  }
-  TensorId segment_block_matmul(TensorId a, TensorId blocks, SegmentsId seg) {
-    return rec(prog_.segment_block_matmul(a, blocks, seg));
   }
 
   // --- losses -----------------------------------------------------------

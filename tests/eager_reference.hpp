@@ -9,19 +9,12 @@
 ///
 /// `replay_on_eager` re-records a `Program` onto an `EagerTape` op by op.
 /// Instruction i maps to eager node i, so TensorIds are interchangeable
-/// between the two representations. The segmented ops postdate the seed
-/// tape; a one-segment op (a single graph's program) is exactly a seed op
-/// and replays as it: segment_mean_rows as mean_rows,
-/// segment_frobenius_normalize as frobenius_normalize, segment_matmul_at_b
-/// as matmul_at_b and segment_block_matmul as matmul. Multi-segment
-/// programs have no eager reference; their oracle is the one-graph
-/// programs (test_nn_batched.cpp).
+/// between the two representations.
 
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <vector>
 
 #include "nn/program.hpp"
@@ -501,25 +494,18 @@ class EagerTape {
 /// Re-records `prog` onto `eager` instruction by instruction. The eager
 /// tape computes forward values as it records, with the parameters' values
 /// at call time. Node i of the eager tape corresponds to instruction i of
-/// the program, so the program's TensorIds address both. Throws
-/// std::invalid_argument on a segmented op with more than one segment.
+/// the program, so the program's TensorIds address both.
 inline void replay_on_eager(const nn::Program& prog, EagerTape& eager) {
   using nn::Op;
   for (std::size_t i = 0; i < prog.num_insts(); ++i) {
     const nn::Inst& in = prog.inst(i);
     const TensorId a{in.a}, b{in.b};
-    const auto one_segment = [&] {
-      if (prog.segments(in.u0).size() != 2) {
-        throw std::invalid_argument(
-            "replay_on_eager: multi-segment programs have no eager "
-            "reference");
-      }
-    };
     TensorId y{};
     switch (in.op) {
       case Op::kConstant: y = eager.constant(prog.literal(in.u0)); break;
       case Op::kParam: y = eager.param(in.param); break;
       case Op::kMatmul: y = eager.matmul(a, b); break;
+      case Op::kMatmulAtB: y = eager.matmul_at_b(a, b); break;
       case Op::kAdd: y = eager.add(a, b); break;
       case Op::kSub: y = eager.sub(a, b); break;
       case Op::kHadamard: y = eager.hadamard(a, b); break;
@@ -529,31 +515,17 @@ inline void replay_on_eager(const nn::Program& prog, EagerTape& eager) {
       case Op::kSigmoid: y = eager.sigmoid(a); break;
       case Op::kTanh: y = eager.tanh_fn(a); break;
       case Op::kSpmm: y = eager.spmm(in.sparse, a); break;
+      case Op::kFrobeniusNormalize: y = eager.frobenius_normalize(a); break;
       case Op::kAddRowBroadcast: y = eager.add_row_broadcast(a, b); break;
       case Op::kBroadcastRow: y = eager.broadcast_row(a, in.u0); break;
       case Op::kRowMul: y = eager.row_mul(a, b); break;
       case Op::kScalarMul: y = eager.scalar_mul(a, b); break;
+      case Op::kMeanRows: y = eager.mean_rows(a); break;
       case Op::kConcatCols: y = eager.concat_cols(a, b); break;
       case Op::kSliceCols: y = eager.slice_cols(a, in.u0, in.u1); break;
       case Op::kPermuteRows: y = eager.permute_rows(a, prog.perm(in.u0)); break;
       case Op::kBceWithLogits:
         y = eager.bce_with_logits(a, in.f0, in.f1);
-        break;
-      case Op::kSegmentMeanRows:
-        one_segment();
-        y = eager.mean_rows(a);
-        break;
-      case Op::kSegmentFrobeniusNormalize:
-        one_segment();
-        y = eager.frobenius_normalize(a);
-        break;
-      case Op::kSegmentMatmulAtB:
-        one_segment();
-        y = eager.matmul_at_b(a, b);
-        break;
-      case Op::kSegmentBlockMatmul:
-        one_segment();
-        y = eager.matmul(a, b);
         break;
     }
     assert(y.idx == static_cast<std::int32_t>(i));

@@ -8,24 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "nn/tape.hpp"
 
 namespace ns::testing {
-
-/// The single segment [0, rows(x)) covering all of `x`'s rows: a one-graph
-/// program's segments.
-inline nn::SegmentsId one_segment(nn::Tape& t, nn::TensorId x) {
-  return t.add_segments({0, static_cast<std::uint32_t>(t.rows(x))});
-}
-
-/// Column mean over all rows, (N×d) → (1×d), for scalarizing test outputs.
-inline nn::TensorId mean_over_rows(nn::Tape& t, nn::TensorId x) {
-  return t.segment_mean_rows(x, one_segment(t, x));
-}
 
 using BuildFn = std::function<nn::TensorId(nn::Tape&)>;
 

@@ -677,59 +677,31 @@ TEST(VerifyProgram, PermutationLengthMismatchRejected) {
   EXPECT_TRUE(has_rule(out, "ir.binding")) << rules_of(out);
 }
 
-// --- segmented batched-inference ops (DESIGN.md §13) -------------------------
+// --- readout and attention ops (Eqs. 8-10) ---------------------------------
 
-/// A valid two-segment program covering all four segmented ops, to be
-/// corrupted through debug_inst.
-struct SegmentedNet {
+/// A valid program over the mean readout, the Frobenius normalization and
+/// the AᵀB product, to be corrupted through debug_inst.
+struct ReadoutNet {
   nn::Program prog;
-  nn::TensorId a, w, mean, norm, atb, bmm;
+  nn::TensorId a, mean, norm, atb;
 
-  SegmentedNet() {
-    a = prog.constant(nn::Matrix(5, 2, 1.0f));   // inst 0: stacked rows
-    w = prog.constant(nn::Matrix(4, 3, 0.5f));   // inst 1: two 2×3 blocks
-    const nn::SegmentsId seg = prog.add_segments({0, 2, 5});
-    mean = prog.segment_mean_rows(a, seg);             // inst 2: 2×2
-    norm = prog.segment_frobenius_normalize(a, seg);   // inst 3: 5×2
-    atb = prog.segment_matmul_at_b(a, a, seg);         // inst 4: 4×2
-    bmm = prog.segment_block_matmul(a, w, seg);        // inst 5: 5×3
+  ReadoutNet() {
+    a = prog.constant(nn::Matrix(5, 2, 1.0f));  // inst 0
+    mean = prog.mean_rows(a);                   // inst 1: 1×2
+    norm = prog.frobenius_normalize(a);         // inst 2: 5×2
+    atb = prog.matmul_at_b(a, a);               // inst 3: 2×2
   }
 };
 
-TEST(VerifyProgram, SegmentedRecorderOutputVerifiesClean) {
-  SegmentedNet net;
+TEST(VerifyProgram, ReadoutOpsRecorderOutputVerifiesClean) {
+  ReadoutNet net;
   const auto out = verify_program(net.prog);
   EXPECT_TRUE(out.empty()) << rules_of(out);
 }
 
-TEST(VerifyProgram, SegmentPoolIndexOutOfRange) {
-  SegmentedNet net;
-  net.prog.debug_inst(net.mean.idx).u0 = 42;  // no such registered segments
-  const auto out = verify_program(net.prog);
-  EXPECT_TRUE(has_rule(out, "ir.binding")) << rules_of(out);
-}
-
-TEST(VerifyProgram, SegmentCoverageMismatchRejected) {
-  SegmentedNet net;
-  // Repoint the normalize at the 4-row block stack: the offsets cover 5
-  // stacked rows, so the operand no longer matches the segment descriptor.
-  net.prog.debug_inst(net.norm.idx).a = net.w.idx;
-  const auto out = verify_program(net.prog);
-  EXPECT_TRUE(has_rule(out, "ir.operand_shape")) << rules_of(out);
-}
-
-TEST(VerifyProgram, SegmentBlockMatmulWrongBlockStackRejected) {
-  SegmentedNet net;
-  // The blocks operand must stack num_segments × a.cols rows (4); the
-  // 5-row input is not a valid block stack for these segments.
-  net.prog.debug_inst(net.bmm.idx).b = net.a.idx;
-  const auto out = verify_program(net.prog);
-  EXPECT_TRUE(has_rule(out, "ir.operand_shape")) << rules_of(out);
-}
-
-TEST(VerifyProgram, SegmentedUnaryOpWithForbiddenOperand) {
-  SegmentedNet net;
-  net.prog.debug_inst(net.mean.idx).b = 0;  // segment_mean_rows is unary
+TEST(VerifyProgram, MeanRowsWithForbiddenOperand) {
+  ReadoutNet net;
+  net.prog.debug_inst(net.mean.idx).b = 0;  // mean_rows is unary
   const auto out = verify_program(net.prog);
   EXPECT_TRUE(has_rule(out, "ir.arity")) << rules_of(out);
 }

@@ -4,6 +4,7 @@
 #include "core/neuroselect.hpp"
 #include "core/trainer.hpp"
 #include "gen/generators.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace ns::core {
 namespace {
@@ -187,6 +188,24 @@ TEST(EndToEndTest, SummaryAggregatesRuns) {
   for (const InstanceRun& r : s.runs) {
     if (r.within_cap) EXPECT_GT(r.inference_seconds, 0.0);
   }
+
+  // Inference wall time is reported on its own (Fig. 7(b)); the proxy
+  // columns and the Table 3 aggregates built from them repeat exactly.
+  const EndToEndSummary again = run_end_to_end(model, test, opts);
+  std::size_t default_runs = 0;
+  for (std::size_t i = 0; i < s.runs.size(); ++i) {
+    const InstanceRun& r = s.runs[i];
+    EXPECT_EQ(r.neuroselect_seconds, again.runs[i].neuroselect_seconds);
+    if (r.chosen == policy::PolicyKind::kDefault) {
+      ++default_runs;
+      EXPECT_EQ(r.neuroselect_seconds, r.kissat_seconds) << r.name;
+    }
+  }
+  EXPECT_GT(default_runs, 0u);
+  EXPECT_EQ(s.median_neuroselect, again.median_neuroselect);
+  EXPECT_EQ(s.average_neuroselect, again.average_neuroselect);
+  EXPECT_EQ(s.median_kissat, again.median_kissat);
+  EXPECT_EQ(s.average_kissat, again.average_kissat);
 }
 
 TEST(EndToEndTest, NodeCapBypassesInference) {
@@ -233,6 +252,28 @@ TEST(ClassifyFormulaTest, EmptyFormulasSkipInferenceUnderAModel) {
     ASSERT_NO_THROW(run = run_instance(&model, named("empty", f), opts));
     EXPECT_EQ(run.chosen, policy::PolicyKind::kDefault);
   }
+
+  // classify_batch applies the same rule per graph, on the caller or on a
+  // pool worker, next to a non-empty graph that still runs the model.
+  std::vector<nn::GraphBatch> graphs;
+  for (const CnfFormula& f : formulas) {
+    graphs.push_back(nn::GraphBatch::build(f));
+  }
+  graphs.push_back(nn::GraphBatch::build(gen::random_ksat(8, 30, 3, 4)));
+  std::vector<const nn::GraphBatch*> batch;
+  for (const nn::GraphBatch& g : graphs) batch.push_back(&g);
+  const float nonempty = model.predict_probability(graphs.back());
+  for (const std::size_t threads : {1, 4}) {
+    runtime::set_global_thread_count(threads);
+    std::vector<float> probs;
+    ASSERT_NO_THROW(probs = classify_batch(model, batch));
+    ASSERT_EQ(probs.size(), batch.size());
+    for (std::size_t i = 0; i + 1 < probs.size(); ++i) {
+      EXPECT_EQ(probs[i], 0.5f) << "graph " << i << ", " << threads << "t";
+    }
+    EXPECT_EQ(probs.back(), nonempty) << threads << "t";
+  }
+  runtime::set_global_thread_count(0);
 }
 
 }  // namespace

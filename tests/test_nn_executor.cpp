@@ -68,8 +68,8 @@ class ExecutorParityTest
 
 /// The heart of the refactor's acceptance: for every classifier, at 1 and
 /// 8 threads, with the attention gates open, the planned executor's forward
-/// values and parameter gradients on a one-graph program are bit-for-bit
-/// those of the seed eager tape (the one-segment ops replay as seed ops).
+/// values and parameter gradients are bit-for-bit those of the seed eager
+/// tape.
 TEST_P(ExecutorParityTest, ForwardAndGradientsMatchEagerBitwise) {
   const auto [kind, threads] = GetParam();
   runtime::set_global_thread_count(static_cast<std::size_t>(threads));
@@ -80,7 +80,7 @@ TEST_P(ExecutorParityTest, ForwardAndGradientsMatchEagerBitwise) {
   const std::vector<Parameter*> params = model->parameters();
 
   Tape tape;
-  const TensorId logit = model->forward_logits(tape, PackedGraphs(g));
+  const TensorId logit = model->forward_logits(tape, g);
   const TensorId loss = tape.bce_with_logits(logit, 1.0f, 2.0f);
 
   // Reference pass: replay the recorded program on the verbatim seed tape.
@@ -108,7 +108,7 @@ TEST_P(ExecutorParityTest, ForwardAndGradientsMatchEagerBitwise) {
   // shape, where the logit is the program output): same logit bits,
   // without any gradient state.
   Tape itape;
-  const TensorId ilogit = model->forward_logits(itape, PackedGraphs(g));
+  const TensorId ilogit = model->forward_logits(itape, g);
   Executor inf(itape.program(), ExecMode::kInference);
   inf.forward();
   EXPECT_TRUE(bitwise_equal(inf.value(ilogit), eager_logit));
@@ -135,7 +135,7 @@ TEST(ExecutorTest, RepeatedForwardIsBitwiseDeterministic) {
   auto model = make_classifier(ClassifierKind::kNeuroSelect, 3);
   const GraphBatch g = GraphBatch::build(gen::random_ksat(10, 32, 3, 5));
   Tape tape;
-  const TensorId logit = model->forward_logits(tape, PackedGraphs(g));
+  const TensorId logit = model->forward_logits(tape, g);
   Executor exec(tape.program(), ExecMode::kInference);
   exec.forward();
   const Matrix first = exec.value(logit);
@@ -160,7 +160,7 @@ TEST(ExecutorTest, InferencePlanReusesBuffersAcrossLiveRanges) {
   auto model = make_classifier(ClassifierKind::kNeuroSelect, 21);
   const GraphBatch g = GraphBatch::build(gen::random_ksat(12, 40, 3, 13));
   Tape tape;
-  model->forward_logits(tape, PackedGraphs(g));
+  model->forward_logits(tape, g);
 
   Executor inf(tape.program(), ExecMode::kInference);
   Executor train(tape.program(), ExecMode::kTraining);
@@ -179,7 +179,7 @@ TEST(ExecutorTest, TrainingModeKeepsEveryValueReadable) {
   const TensorId x = tape.param(&w);
   const TensorId a = tape.relu(x);
   const TensorId b = tape.add_scalar(a, 2.0f);
-  const TensorId c = tape.segment_mean_rows(b, tape.add_segments({0, 2}));
+  const TensorId c = tape.mean_rows(b);
   Executor exec(tape.program(), ExecMode::kTraining);
   exec.forward();
   EXPECT_FLOAT_EQ(exec.value(a).at(0, 0), 1.0f);  // intermediate still live
@@ -258,6 +258,19 @@ TEST(ProgramShapeTest, MatmulInnerDimensionMismatch) {
   const TensorId a = tape.constant(Matrix::ones(2, 3));
   const TensorId b = tape.constant(Matrix::ones(2, 3));
   expect_shape_error([&] { tape.matmul(a, b); }, "matmul");
+}
+
+TEST(ProgramShapeTest, MatmulAtBRowCountMismatch) {
+  Tape tape;
+  const TensorId a = tape.constant(Matrix::ones(4, 3));
+  const TensorId b = tape.constant(Matrix::ones(5, 3));
+  expect_shape_error([&] { tape.matmul_at_b(a, b); }, "matmul_at_b");
+}
+
+TEST(ProgramShapeTest, MeanRowsOfNoRowsRejected) {
+  Tape tape;
+  const TensorId a = tape.constant(Matrix(0, 3));
+  expect_shape_error([&] { tape.mean_rows(a); }, "mean_rows");
 }
 
 TEST(ProgramShapeTest, ElementwiseShapeMismatch) {

@@ -10,9 +10,6 @@
 namespace ns::nn {
 namespace {
 
-using ns::testing::mean_over_rows;
-using ns::testing::one_segment;
-
 CnfFormula tiny_formula() {
   // c1 = ~x0 ∨ x1 ; c2 = ~x1 ∨ x2  (the Fig. 6 example)
   CnfFormula f(3);
@@ -68,8 +65,8 @@ TEST_P(ModelForwardTest, LogitIsFiniteScalarAndDeterministic) {
       GraphBatch::build(gen::random_ksat(12, 40, 3, 77));
 
   Tape ta, tb;
-  const TensorId la = model_a->forward_logits(ta, PackedGraphs(g));
-  const TensorId lb = model_b->forward_logits(tb, PackedGraphs(g));
+  const TensorId la = model_a->forward_logits(ta, g);
+  const TensorId lb = model_b->forward_logits(tb, g);
   ASSERT_EQ(ta.value(la).rows(), 1u);
   ASSERT_EQ(ta.value(la).cols(), 1u);
   EXPECT_TRUE(std::isfinite(ta.value(la).at(0, 0)));
@@ -118,7 +115,7 @@ TEST(LinearAttentionTest, OutputShapeMatchesInput) {
   LinearAttention attn(4, rng);
   Tape tape;
   const TensorId z = tape.constant(Matrix::xavier(7, 4, rng));
-  const TensorId out = attn.forward(tape, z, one_segment(tape, z));
+  const TensorId out = attn.forward(tape, z);
   EXPECT_EQ(tape.value(out).rows(), 7u);
   EXPECT_EQ(tape.value(out).cols(), 4u);
 }
@@ -132,15 +129,14 @@ TEST(LinearAttentionTest, GradCheck) {
   ns::testing::expect_gradients_match(
       params,
       [&](Tape& t) {
-        const TensorId pz = t.param(&z);
-        const TensorId out = attn.forward(t, pz, one_segment(t, pz));
+        const TensorId out = attn.forward(t, t.param(&z));
         // weighted scalarization
         Matrix w(5, 3);
         for (std::size_t i = 0; i < w.size(); ++i) {
           w.data()[i] = 0.05f * static_cast<float>(i + 1);
         }
         const TensorId h = t.hadamard(out, t.constant(std::move(w)));
-        return t.matmul(mean_over_rows(t, h), t.constant(Matrix::ones(3, 1)));
+        return t.matmul(t.mean_rows(h), t.constant(Matrix::ones(3, 1)));
       },
       5e-3f, 6e-2f);
 }
@@ -155,10 +151,8 @@ TEST(LinearAttentionTest, AttentionMixesDistantNodes) {
   z1.at(5, 0) += 1.0f;  // perturb the last node only
 
   Tape t0, t1;
-  const TensorId i0 = t0.constant(z0);
-  const TensorId i1 = t1.constant(z1);
-  const TensorId o0 = attn.forward(t0, i0, one_segment(t0, i0));
-  const TensorId o1 = attn.forward(t1, i1, one_segment(t1, i1));
+  const TensorId o0 = attn.forward(t0, t0.constant(z0));
+  const TensorId o1 = attn.forward(t1, t1.constant(z1));
   // Row 0's output must change even though only row 5's input changed.
   float diff = 0.0f;
   for (std::size_t c = 0; c < 3; ++c) {
@@ -179,8 +173,7 @@ TEST(MpnnLayerTest, GradCheckOnTinyGraph) {
       params,
       [&](Tape& t) {
         auto [hv, hc] = layer.forward(t, g.vc, t.param(&xv), t.param(&xc));
-        const TensorId cat =
-            t.concat_cols(mean_over_rows(t, hv), mean_over_rows(t, hc));
+        const TensorId cat = t.concat_cols(t.mean_rows(hv), t.mean_rows(hc));
         return t.matmul(cat, t.constant(Matrix::ones(6, 1)));
       },
       5e-3f, 6e-2f);
@@ -197,8 +190,7 @@ TEST(NeuroSelectModelTest, FullModelGradCheck) {
   ns::testing::expect_gradients_match(
       model.parameters(),
       [&](Tape& t) {
-        return t.bce_with_logits(model.forward_logits(t, PackedGraphs(g)),
-                                 1.0f);
+        return t.bce_with_logits(model.forward_logits(t, g), 1.0f);
       },
       5e-3f, 8e-2f);
 }
@@ -241,7 +233,7 @@ TEST(TrainabilityTest, NeuroSelectOverfitsTinyDataset) {
     for (const Sample& s : samples) {
       Tape tape;
       const TensorId loss = tape.bce_with_logits(
-          model.forward_logits(tape, PackedGraphs(*s.g)), s.label);
+          model.forward_logits(tape, *s.g), s.label);
       loss_sum += tape.value(loss).at(0, 0);
       tape.backward(loss);
       opt.step();

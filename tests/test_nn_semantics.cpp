@@ -7,15 +7,12 @@
 #include <cmath>
 #include <random>
 
-#include "gradcheck.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
 #include "nn/tape.hpp"
 
 namespace ns::nn {
 namespace {
-
-using ns::testing::one_segment;
 
 TEST(TapeSemanticsTest, ParameterGradientsAccumulateAcrossTapes) {
   Parameter w(Matrix::ones(1, 1));
@@ -79,7 +76,7 @@ TEST(TapeSemanticsTest, BroadcastRowOfOneRowIsIdentity) {
 TEST(TapeSemanticsTest, MeanRowsOfSingleRowIsIdentity) {
   Tape tape;
   Matrix row(1, 4, 2.5f);
-  const TensorId m = ns::testing::mean_over_rows(tape, tape.constant(row));
+  const TensorId m = tape.mean_rows(tape.constant(row));
   EXPECT_LT(max_abs_diff(tape.value(m), row), 1e-9f);
 }
 
@@ -94,15 +91,14 @@ TEST(TapeSemanticsTest, SliceOfFullRangeIsIdentity) {
 TEST(TapeSemanticsTest, FrobeniusNormalizeGivesUnitNorm) {
   std::mt19937_64 rng(5);
   Tape tape;
-  const TensorId x = tape.constant(Matrix::xavier(6, 4, rng));
-  const TensorId y = tape.segment_frobenius_normalize(x, one_segment(tape, x));
+  const TensorId y =
+      tape.frobenius_normalize(tape.constant(Matrix::xavier(6, 4, rng)));
   EXPECT_NEAR(tape.value(y).frobenius_norm(), 1.0f, 1e-5f);
 }
 
 TEST(TapeSemanticsTest, FrobeniusNormalizeOfZeroIsZero) {
   Tape tape;
-  const TensorId x = tape.constant(Matrix(2, 2));
-  const TensorId y = tape.segment_frobenius_normalize(x, one_segment(tape, x));
+  const TensorId y = tape.frobenius_normalize(tape.constant(Matrix(2, 2)));
   EXPECT_FLOAT_EQ(tape.value(y).at(0, 0), 0.0f);
 }
 
@@ -147,8 +143,7 @@ TEST(LinearAttentionSemanticsTest, DiagonalStaysPositive) {
     Tape tape;
     Matrix z = Matrix::xavier(9, 6, rng);
     z.scale_in_place(10.0f);  // exaggerate magnitudes
-    const TensorId zi = tape.constant(z);
-    const TensorId out = attn.forward(tape, zi, one_segment(tape, zi));
+    const TensorId out = attn.forward(tape, tape.constant(z));
     for (std::size_t i = 0; i < tape.value(out).size(); ++i) {
       EXPECT_TRUE(std::isfinite(tape.value(out).data()[i]));
     }
@@ -164,12 +159,11 @@ TEST(LinearAttentionSemanticsTest, PermutationEquivariant) {
   const std::vector<std::uint32_t> perm = {3, 1, 4, 0, 2};
 
   Tape t1;
-  const TensorId z1 = t1.constant(z);
   const TensorId direct =
-      t1.permute_rows(attn.forward(t1, z1, one_segment(t1, z1)), perm);
+      t1.permute_rows(attn.forward(t1, t1.constant(z)), perm);
   Tape t2;
-  const TensorId z2 = t2.permute_rows(t2.constant(z), perm);
-  const TensorId swapped = attn.forward(t2, z2, one_segment(t2, z2));
+  const TensorId swapped =
+      attn.forward(t2, t2.permute_rows(t2.constant(z), perm));
   EXPECT_LT(max_abs_diff(t1.value(direct), t2.value(swapped)), 1e-5f);
 }
 

@@ -12,7 +12,6 @@ namespace ns::nn {
 namespace {
 
 using ns::testing::expect_gradients_match;
-using ns::testing::one_segment;
 
 Matrix filled(std::size_t r, std::size_t c, float base, float step) {
   Matrix m(r, c);
@@ -30,7 +29,7 @@ TensorId weighted_scalar(Tape& tape, TensorId x) {
     w.data()[i] = 0.05f * static_cast<float>(i + 1);
   }
   const TensorId weighted = tape.hadamard(x, tape.constant(std::move(w)));
-  const TensorId pooled = ns::testing::mean_over_rows(tape, weighted);  // 1×c
+  const TensorId pooled = tape.mean_rows(weighted);  // 1×c
   const TensorId ones = tape.constant(Matrix::ones(v.cols(), 1));
   return tape.matmul(pooled, ones);  // 1×1
 }
@@ -139,9 +138,7 @@ TEST(GradCheckTest, MatmulAtB) {
   Parameter a(filled(4, 3, -0.2f, 0.09f));
   Parameter b(filled(4, 2, 0.3f, -0.05f));
   expect_gradients_match({&a, &b}, [&](Tape& t) {
-    const TensorId pa = t.param(&a);
-    return weighted_scalar(
-        t, t.segment_matmul_at_b(pa, t.param(&b), one_segment(t, pa)));
+    return weighted_scalar(t, t.matmul_at_b(t.param(&a), t.param(&b)));
   });
 }
 
@@ -192,9 +189,7 @@ TEST(GradCheckTest, Spmm) {
 TEST(GradCheckTest, FrobeniusNormalize) {
   Parameter a(filled(3, 2, 0.5f, 0.21f));
   expect_gradients_match({&a}, [&](Tape& t) {
-    const TensorId pa = t.param(&a);
-    return weighted_scalar(
-        t, t.segment_frobenius_normalize(pa, one_segment(t, pa)));
+    return weighted_scalar(t, t.frobenius_normalize(t.param(&a)));
   });
 }
 
