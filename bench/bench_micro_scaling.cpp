@@ -28,9 +28,9 @@ void BM_LinearAttentionForward(benchmark::State& state) {
   const ns::nn::Matrix z = ns::nn::Matrix::xavier(n, 32, rng);
   // Record once, execute per iteration: what's timed is the attention
   // compute, not graph recording.
-  ns::nn::Tape tape;
-  const ns::nn::TensorId out = attn.forward(tape, tape.constant(z));
-  ns::nn::Executor exec(tape.program(), ns::nn::ExecMode::kInference);
+  ns::nn::Program prog;
+  const ns::nn::TensorId out = attn.forward(prog, prog.constant(z));
+  ns::nn::Executor exec(prog, ns::nn::ExecMode::kInference);
   for (auto _ : state) {
     exec.forward();
     benchmark::DoNotOptimize(exec.value(out).data());
@@ -49,10 +49,10 @@ void BM_MpnnLayerForward(benchmark::State& state) {
   ns::nn::MpnnLayer layer(32, rng);
   const ns::nn::Matrix xv = ns::nn::Matrix::xavier(g.vc.num_vars, 32, rng);
   const ns::nn::Matrix xc = ns::nn::Matrix::xavier(g.vc.num_clauses, 32, rng);
-  ns::nn::Tape tape;
+  ns::nn::Program prog;
   const auto [ov, oc] =
-      layer.forward(tape, g.vc, tape.constant(xv), tape.constant(xc));
-  ns::nn::Executor exec(tape.program(), ns::nn::ExecMode::kInference);
+      layer.forward(prog, g.vc, prog.constant(xv), prog.constant(xc));
+  ns::nn::Executor exec(prog, ns::nn::ExecMode::kInference);
   for (auto _ : state) {
     exec.forward();
     benchmark::DoNotOptimize(exec.value(ov).data());

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <random>
 
-#include "audit/verify_program.hpp"
 #include "core/neuroselect.hpp"
 
 namespace ns::core {
@@ -37,7 +36,7 @@ std::vector<EpochStats> train_classifier(
   // the recording. Heap-allocated so Program addresses stay stable for the
   // executors.
   struct Compiled {
-    nn::Tape tape;
+    nn::Program prog;
     nn::TensorId logit, loss;
     std::unique_ptr<nn::Executor> exec;
   };
@@ -53,19 +52,10 @@ std::vector<EpochStats> train_classifier(
       const LabeledInstance& inst = train[idx];
       if (!compiled[idx]) {
         auto c = std::make_unique<Compiled>();
-        c->logit = model.forward_logits(c->tape, inst.graph);
-        c->loss = c->tape.bce_with_logits(
+        c->logit = model.forward_logits(c->prog, inst.graph);
+        c->loss = c->prog.bce_with_logits(
             c->logit, static_cast<float>(inst.label), pos_weight);
-        // The compile step is verified once per instance: the recorded
-        // forward+loss graph through the static IR checks, the planned
-        // workspace through the alias-safety proof.
-        audit::verify_program_or_throw(c->tape.program(),
-                                       "audit::verify_program(train)");
-        c->exec = std::make_unique<nn::Executor>(c->tape.program(),
-                                                 nn::ExecMode::kTraining);
-        audit::verify_workspace_plan_or_throw(
-            c->tape.program(), c->exec->plan_snapshot(),
-            "audit::verify_workspace_plan(train)");
+        c->exec = nn::make_verified_executor(c->prog, nn::ExecMode::kTraining);
         compiled[idx] = std::move(c);
       }
       Compiled& c = *compiled[idx];

@@ -12,6 +12,9 @@ namespace {
 
 bool is_leaf(Op op) { return op == Op::kConstant || op == Op::kParam; }
 
+constexpr const char* kUnplanned =
+    ") was recorded after this executor was planned";
+
 }  // namespace
 
 Executor::Executor(const Program& prog, ExecMode mode)
@@ -131,28 +134,40 @@ Matrix& Executor::out_of(std::int32_t i) {
   return out;
 }
 
+const Inst& Executor::planned_at(const char* fn, TensorId id) const {
+  const Inst& in = prog_->at(id);
+  if (id.idx >= num_planned()) {
+    throw std::logic_error(std::string("Executor::") + fn + ": node " +
+                           std::to_string(id.idx) + " (" + op_name(in.op) +
+                           kUnplanned);
+  }
+  return in;
+}
+
 const Matrix& Executor::value(TensorId id) const {
   const Inst& in = prog_->at(id);
-  if (!is_leaf(in.op) &&
-      last_use_[id.idx] < static_cast<std::int32_t>(prog_->num_insts())) {
+  const std::int32_t n = num_planned();
+  if (id.idx >= n || (!is_leaf(in.op) && last_use_[id.idx] < n)) {
     // NS_SUPPRESS(throw, allocation): cold misuse guard — a correctly
-    // planned session only reads program outputs, so this path is never
-    // taken in steady state.
+    // planned session only reads program outputs it planned, so this path
+    // is never taken in steady state.
     throw std::logic_error(
         std::string("Executor::value: node ") + std::to_string(id.idx) + " (" +
         op_name(in.op) +
-        ") is a recycled intermediate in inference mode; only program "
-        "outputs stay live");
+        (id.idx >= n ? kUnplanned
+                     : ") is a recycled intermediate in inference mode; only "
+                       "program outputs stay live"));
   }
   return value_of(id.idx);
 }
 
 bool Executor::has_grad(TensorId id) const {
-  return mode_ == ExecMode::kTraining && prog_->at(id).requires_grad;
+  return planned_at("has_grad", id).requires_grad &&
+         mode_ == ExecMode::kTraining;
 }
 
 const Matrix& Executor::grad(TensorId id) {
-  const Inst& in = prog_->at(id);
+  const Inst& in = planned_at("grad", id);
   if (mode_ != ExecMode::kTraining) {
     throw std::logic_error(
         "Executor::grad: inference-mode executors carry no gradient storage");
@@ -169,7 +184,7 @@ const Matrix& Executor::grad(TensorId id) {
 
 void Executor::allocate_grads() {
   if (grads_allocated_) return;
-  const std::int32_t n = static_cast<std::int32_t>(prog_->num_insts());
+  const std::int32_t n = num_planned();
   grads_.resize(n);
   for (std::int32_t i = 0; i < n; ++i) {
     const Inst& in = prog_->inst(i);
@@ -187,7 +202,7 @@ void Executor::allocate_grads() {
 
 // NS_HOT(the planned-program interpreter loop — every inference runs it)
 void Executor::forward() {
-  const std::int32_t n = static_cast<std::int32_t>(prog_->num_insts());
+  const std::int32_t n = num_planned();
   for (std::int32_t i = 0; i < n; ++i) {
     const Inst& in = prog_->inst(static_cast<std::size_t>(i));
     switch (in.op) {
@@ -411,14 +426,14 @@ void Executor::backward(TensorId loss) {
         "Executor::backward: this executor was built with "
         "ExecMode::kInference (no gradient storage); use kTraining");
   }
-  const Inst& loss_inst = prog_->at(loss);
+  const bool loss_requires_grad = planned_at("backward", loss).requires_grad;
   if (!ran_forward_) forward();
-  if (!loss_inst.requires_grad) {
+  if (!loss_requires_grad) {
     // No Parameter upstream of the loss: nothing observable to accumulate.
     return;
   }
   allocate_grads();
-  const std::int32_t n = static_cast<std::int32_t>(prog_->num_insts());
+  const std::int32_t n = num_planned();
   for (std::int32_t i = 0; i < n; ++i) {
     if (prog_->inst(i).requires_grad) grads_[i].fill(0.0f);
   }

@@ -21,8 +21,8 @@
 ///    has run and no gradient storage exists at all; `backward()` throws.
 ///
 /// Forward values and parameter gradients are bitwise identical to the
-/// legacy eager tape: every op replays the same per-element float operation
-/// order on the same threaded kernels.
+/// seed eager tape (tests/eager_reference.hpp): every op replays the same
+/// per-element float operation order on the same threaded kernels.
 
 #include <cstdint>
 #include <vector>
@@ -48,7 +48,11 @@ struct WorkspacePlan {
 };
 
 /// Runs one Program against a planned workspace. The program (and every
-/// Parameter / SparseMatrix it binds) must outlive the executor. One
+/// Parameter / SparseMatrix it binds) must outlive the executor. The plan
+/// covers the instructions recorded when the executor was built: recording
+/// more onto the program afterwards is allowed, but the executor never runs
+/// the new nodes, and `value`, `grad`, `has_grad` and `backward` throw
+/// `std::logic_error` for them (build a new executor to run them). One
 /// executor is single-threaded at the call level (the kernels underneath
 /// still use the global pool); use one executor per concurrent caller.
 class Executor {
@@ -57,8 +61,8 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Executes every instruction in order. Re-runnable: each call reads the
-  /// bound parameters' current values. After the warm-up in the
+  /// Executes every planned instruction in order. Re-runnable: each call
+  /// reads the bound parameters' current values. After the warm-up in the
   /// constructor, calls allocate nothing (with a single-thread pool; the
   /// pool dispatch itself may allocate when fanning out).
   void forward();
@@ -100,6 +104,16 @@ class Executor {
  private:
   void plan();
   void allocate_grads();
+
+  /// Number of instructions the plan covers (the program's size at
+  /// construction).
+  std::int32_t num_planned() const {
+    return static_cast<std::int32_t>(last_use_.size());
+  }
+
+  /// Instruction behind `id`; throws `std::logic_error` naming `fn` when the
+  /// node was recorded after planning.
+  const Inst& planned_at(const char* fn, TensorId id) const;
 
   /// Value of instruction `i` (leaf pools or the node's arena slot).
   const Matrix& value_of(std::int32_t i) const;

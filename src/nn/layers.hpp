@@ -1,6 +1,6 @@
 #pragma once
 /// \file layers.hpp
-/// Trainable building blocks on top of the autograd tape: Linear, MLP,
+/// Trainable building blocks that record onto a `Program`: Linear, MLP,
 /// LSTM cell (for the NeuroSAT baseline), and the Adam optimizer used by
 /// the paper (lr = 1e-4).
 
@@ -8,7 +8,7 @@
 #include <random>
 #include <vector>
 
-#include "nn/tape.hpp"
+#include "nn/program.hpp"
 
 namespace ns::nn {
 
@@ -36,10 +36,10 @@ class Linear : public Module {
   Linear(std::size_t in, std::size_t out, std::mt19937_64& rng)
       : weight_(Matrix::xavier(in, out, rng)), bias_(Matrix(1, out)) {}
 
-  TensorId forward(Tape& tape, TensorId x) {
-    const TensorId w = tape.param(&weight_);
-    const TensorId b = tape.param(&bias_);
-    return tape.add_row_broadcast(tape.matmul(x, w), b);
+  TensorId forward(Program& prog, TensorId x) {
+    const TensorId w = prog.param(&weight_);
+    const TensorId b = prog.param(&bias_);
+    return prog.add_row_broadcast(prog.matmul(x, w), b);
   }
 
   void collect_parameters(std::vector<Parameter*>& out) override {
@@ -67,10 +67,10 @@ class Mlp : public Module {
     }
   }
 
-  TensorId forward(Tape& tape, TensorId x) {
+  TensorId forward(Program& prog, TensorId x) {
     for (std::size_t i = 0; i < layers_.size(); ++i) {
-      x = layers_[i].forward(tape, x);
-      if (i + 1 < layers_.size()) x = tape.relu(x);
+      x = layers_[i].forward(prog, x);
+      if (i + 1 < layers_.size()) x = prog.relu(x);
     }
     return x;
   }
@@ -99,18 +99,18 @@ class LstmCell : public Module {
   };
 
   /// One step: (x, h, c) -> (h', c').
-  State forward(Tape& tape, TensorId x, State prev) {
-    const TensorId zx = wx_.forward(tape, x);
-    const TensorId zh = wh_.forward(tape, prev.h);
-    const TensorId z = tape.add(zx, zh);
+  State forward(Program& prog, TensorId x, State prev) {
+    const TensorId zx = wx_.forward(prog, x);
+    const TensorId zh = wh_.forward(prog, prev.h);
+    const TensorId z = prog.add(zx, zh);
     const std::size_t d = hidden_dim_;
-    const TensorId i = tape.sigmoid(tape.slice_cols(z, 0, d));
-    const TensorId f = tape.sigmoid(tape.slice_cols(z, d, d));
-    const TensorId g = tape.tanh_fn(tape.slice_cols(z, 2 * d, d));
-    const TensorId o = tape.sigmoid(tape.slice_cols(z, 3 * d, d));
+    const TensorId i = prog.sigmoid(prog.slice_cols(z, 0, d));
+    const TensorId f = prog.sigmoid(prog.slice_cols(z, d, d));
+    const TensorId g = prog.tanh_fn(prog.slice_cols(z, 2 * d, d));
+    const TensorId o = prog.sigmoid(prog.slice_cols(z, 3 * d, d));
     const TensorId c =
-        tape.add(tape.hadamard(f, prev.c), tape.hadamard(i, g));
-    const TensorId h = tape.hadamard(o, tape.tanh_fn(c));
+        prog.add(prog.hadamard(f, prev.c), prog.hadamard(i, g));
+    const TensorId h = prog.hadamard(o, prog.tanh_fn(c));
     return State{h, c};
   }
 

@@ -3,7 +3,8 @@
 /// Dense row-major float matrix — the value type of the autograd engine.
 /// Deliberately minimal: storage, element access, a few BLAS-1/3 kernels,
 /// and seeded random initialization. All heavier algebra lives in the
-/// autograd ops (tape.hpp) so forward and backward stay side by side.
+/// executor's op cases (executor.cpp), where forward and backward stay
+/// side by side.
 
 #include <cassert>
 #include <cstddef>

@@ -5,24 +5,14 @@
 #include "audit/verify_program.hpp"
 
 namespace ns::nn {
-namespace {
 
-/// Every inference session runs the recorded program through the static
-/// IR verifier and proves the planned workspace alias-safe before the
-/// first forward() — a corrupted or mis-recorded model is an AuditError
-/// here, not a wrong probability downstream.
 std::unique_ptr<Executor> make_verified_executor(const Program& prog,
                                                  ExecMode mode) {
-  audit::verify_program_or_throw(prog,
-                                 "audit::verify_program(InferenceSession)");
+  audit::verify_program_or_throw(prog);
   auto exec = std::make_unique<Executor>(prog, mode);
-  audit::verify_workspace_plan_or_throw(
-      prog, exec->plan_snapshot(),
-      "audit::verify_workspace_plan(InferenceSession)");
+  audit::verify_workspace_plan_or_throw(prog, exec->plan_snapshot());
   return exec;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Graph tensor caches
@@ -96,8 +86,8 @@ float SatClassifier::predict_probability(const GraphBatch& g) {
 // ---------------------------------------------------------------------------
 
 InferenceSession::InferenceSession(SatClassifier& model, const GraphBatch& g)
-    : logit_(model.forward_logits(tape_, g)),
-      exec_(make_verified_executor(tape_.program(), ExecMode::kInference)) {}
+    : logit_(model.forward_logits(prog_, g)),
+      exec_(make_verified_executor(prog_, ExecMode::kInference)) {}
 
 // NS_HOT(inference entry point: one planned forward per query)
 float InferenceSession::predict_probability() {
@@ -118,20 +108,20 @@ MpnnLayer::MpnnLayer(std::size_t dim, std::mt19937_64& rng)
       upd_var_(dim, dim, rng),
       upd_clause_(dim, dim, rng) {}
 
-std::pair<TensorId, TensorId> MpnnLayer::forward(Tape& tape,
+std::pair<TensorId, TensorId> MpnnLayer::forward(Program& prog,
                                                  const VcGraphTensors& g,
                                                  TensorId xv, TensorId xc) {
   // Messages into variables: mean over incident clauses of MLP(h_c),
   // weighted by the signed edge weight (Eq. 6).
   const TensorId mv =
-      tape.spmm(&g.svc, msg_from_clause_.forward(tape, xc));
-  const TensorId hv = tape.relu(
-      upd_var_.forward(tape, tape.add(mv, self_var_.forward(tape, xv))));
+      prog.spmm(&g.svc, msg_from_clause_.forward(prog, xc));
+  const TensorId hv = prog.relu(
+      upd_var_.forward(prog, prog.add(mv, self_var_.forward(prog, xv))));
   // Messages into clauses (computed from the pre-update variable features).
   const TensorId mc =
-      tape.spmm(&g.scv, msg_from_var_.forward(tape, xv));
-  const TensorId hc = tape.relu(upd_clause_.forward(
-      tape, tape.add(mc, self_clause_.forward(tape, xc))));
+      prog.spmm(&g.scv, msg_from_var_.forward(prog, xv));
+  const TensorId hc = prog.relu(upd_clause_.forward(
+      prog, prog.add(mc, self_clause_.forward(prog, xc))));
   return {hv, hc};
 }
 
@@ -151,27 +141,27 @@ void MpnnLayer::collect_parameters(std::vector<Parameter*>& out) {
 LinearAttention::LinearAttention(std::size_t dim, std::mt19937_64& rng)
     : fq_(dim, dim, rng), fk_(dim, dim, rng), fv_(dim, dim, rng) {}
 
-TensorId LinearAttention::forward(Tape& tape, TensorId z) {
-  const std::size_t n = tape.rows(z);  // shape metadata; no execution
+TensorId LinearAttention::forward(Program& prog, TensorId z) {
+  const std::size_t n = prog.rows(z);  // shape metadata; no execution
 
-  const TensorId q = tape.frobenius_normalize(fq_.forward(tape, z));
-  const TensorId k = tape.frobenius_normalize(fk_.forward(tape, z));
-  const TensorId v = fv_.forward(tape, z);
+  const TensorId q = prog.frobenius_normalize(fq_.forward(prog, z));
+  const TensorId k = prog.frobenius_normalize(fk_.forward(prog, z));
+  const TensorId v = fv_.forward(prog, z);
 
   // D = diag(1 + (1/N) Q̃ (K̃ᵀ·1)), an N×1 column.
-  const TensorId ones = tape.constant(Matrix::ones(n, 1));
+  const TensorId ones = prog.constant(Matrix::ones(n, 1));
   const TensorId invn =
-      tape.constant(Matrix(1, 1, 1.0f / static_cast<float>(n)));
-  const TensorId kt1 = tape.matmul_at_b(k, ones);  // d×1
-  const TensorId qk1 = tape.matmul(q, kt1);        // N×1
-  const TensorId d = tape.add_scalar(tape.scalar_mul(qk1, invn), 1.0f);
-  const TensorId d_inv = tape.reciprocal(d);
+      prog.constant(Matrix(1, 1, 1.0f / static_cast<float>(n)));
+  const TensorId kt1 = prog.matmul_at_b(k, ones);  // d×1
+  const TensorId qk1 = prog.matmul(q, kt1);        // N×1
+  const TensorId d = prog.add_scalar(prog.scalar_mul(qk1, invn), 1.0f);
+  const TensorId d_inv = prog.reciprocal(d);
 
   // Z_out = D⁻¹ [ V + (1/N) Q̃ (K̃ᵀ V) ].
-  const TensorId kv = tape.matmul_at_b(k, v);   // d×d
-  const TensorId qkv = tape.matmul(q, kv);      // N×d
-  const TensorId attn = tape.add(v, tape.scalar_mul(qkv, invn));
-  return tape.row_mul(attn, d_inv);
+  const TensorId kv = prog.matmul_at_b(k, v);   // d×d
+  const TensorId qkv = prog.matmul(q, kv);      // N×d
+  const TensorId attn = prog.add(v, prog.scalar_mul(qkv, invn));
+  return prog.row_mul(attn, d_inv);
 }
 
 void LinearAttention::collect_parameters(std::vector<Parameter*>& out) {
@@ -193,11 +183,11 @@ HgtLayer::HgtLayer(std::size_t dim, std::size_t mpnn_depth, bool use_attention,
   for (std::size_t i = 0; i < mpnn_depth; ++i) mpnn_.emplace_back(dim, rng);
 }
 
-std::pair<TensorId, TensorId> HgtLayer::forward(Tape& tape,
+std::pair<TensorId, TensorId> HgtLayer::forward(Program& prog,
                                                 const VcGraphTensors& g,
                                                 TensorId xv, TensorId xc) {
   for (MpnnLayer& layer : mpnn_) {
-    std::tie(xv, xc) = layer.forward(tape, g, xv, xc);
+    std::tie(xv, xc) = layer.forward(prog, g, xv, xc);
   }
   if (use_attention_) {
     // Attention only over variable nodes (Eq. 4); clause features pass
@@ -206,8 +196,8 @@ std::pair<TensorId, TensorId> HgtLayer::forward(Tape& tape,
     // keeps the local MPNN signal intact at initialization and lets the
     // optimizer learn how much global context to mix in — the CPU-scale
     // counterpart of SGFormer's GNN+attention combination.
-    const TensorId gate = tape.param(&attention_gate_);
-    xv = tape.add(tape.scalar_mul(attention_.forward(tape, xv), gate), xv);
+    const TensorId gate = prog.param(&attention_gate_);
+    xv = prog.add(prog.scalar_mul(attention_.forward(prog, xv), gate), xv);
   }
   return {xv, xc};
 }
@@ -238,16 +228,17 @@ NeuroSelectModel::NeuroSelectModel(const NeuroSelectConfig& config)
   head_ = Mlp({config.hidden_dim, config.hidden_dim, 1}, rng);
 }
 
-TensorId NeuroSelectModel::forward_logits(Tape& tape, const GraphBatch& graph) {
+TensorId NeuroSelectModel::forward_logits(Program& prog,
+                                          const GraphBatch& graph) {
   const VcGraphTensors& g = graph.vc;
-  TensorId xv = tape.broadcast_row(tape.param(&var_embed_), g.num_vars);
-  TensorId xc = tape.broadcast_row(tape.param(&clause_embed_), g.num_clauses);
+  TensorId xv = prog.broadcast_row(prog.param(&var_embed_), g.num_vars);
+  TensorId xc = prog.broadcast_row(prog.param(&clause_embed_), g.num_clauses);
   for (HgtLayer& layer : layers_) {
-    std::tie(xv, xc) = layer.forward(tape, g, xv, xc);
+    std::tie(xv, xc) = layer.forward(prog, g, xv, xc);
   }
   // Eq. 10: READOUT over variable-node embeddings only.
-  const TensorId pooled = tape.mean_rows(xv);
-  return head_.forward(tape, pooled);
+  const TensorId pooled = prog.mean_rows(xv);
+  return head_.forward(prog, pooled);
 }
 
 void NeuroSelectModel::collect_parameters(std::vector<Parameter*>& out) {
@@ -276,23 +267,23 @@ GinModel::GinModel(std::size_t hidden_dim, std::size_t num_layers,
   head_ = Mlp({2 * hidden_dim, hidden_dim, 1}, rng);
 }
 
-TensorId GinModel::forward_logits(Tape& tape, const GraphBatch& graph) {
+TensorId GinModel::forward_logits(Program& prog, const GraphBatch& graph) {
   const VcGraphTensors& g = graph.vc;
-  TensorId xv = tape.broadcast_row(tape.param(&var_embed_), g.num_vars);
-  TensorId xc = tape.broadcast_row(tape.param(&clause_embed_), g.num_clauses);
+  TensorId xv = prog.broadcast_row(prog.param(&var_embed_), g.num_vars);
+  TensorId xc = prog.broadcast_row(prog.param(&clause_embed_), g.num_clauses);
   for (GinLayer& layer : layers_) {
     // GIN update: h' = MLP(h + Σ_{u∈N(v)} w_uv h_u)  (sum aggregation,
     // epsilon fixed to 0 as in the GIN-0 variant).
-    const TensorId aggv = tape.spmm(&g.avc, xc);
-    const TensorId aggc = tape.spmm(&g.acv, xv);
-    const TensorId hv = layer.var_mlp.forward(tape, tape.add(xv, aggv));
-    const TensorId hc = layer.clause_mlp.forward(tape, tape.add(xc, aggc));
-    xv = tape.relu(hv);
-    xc = tape.relu(hc);
+    const TensorId aggv = prog.spmm(&g.avc, xc);
+    const TensorId aggc = prog.spmm(&g.acv, xv);
+    const TensorId hv = layer.var_mlp.forward(prog, prog.add(xv, aggv));
+    const TensorId hc = layer.clause_mlp.forward(prog, prog.add(xc, aggc));
+    xv = prog.relu(hv);
+    xc = prog.relu(hc);
   }
   const TensorId pooled =
-      tape.concat_cols(tape.mean_rows(xv), tape.mean_rows(xc));
-  return head_.forward(tape, pooled);
+      prog.concat_cols(prog.mean_rows(xv), prog.mean_rows(xc));
+  return head_.forward(prog, pooled);
 }
 
 void GinModel::collect_parameters(std::vector<Parameter*>& out) {
@@ -323,31 +314,31 @@ NeuroSatModel::NeuroSatModel(std::size_t hidden_dim, std::size_t num_rounds,
   head_ = Mlp({hidden_dim, hidden_dim, 1}, rng);
 }
 
-TensorId NeuroSatModel::forward_logits(Tape& tape, const GraphBatch& graph) {
+TensorId NeuroSatModel::forward_logits(Program& prog, const GraphBatch& graph) {
   const LcGraphTensors& g = graph.lc;
   const std::size_t d = lit_update_.hidden_dim();
 
   LstmCell::State lit_state{
-      tape.broadcast_row(tape.param(&lit_embed_), g.num_lits),
-      tape.constant(Matrix::zeros(g.num_lits, d))};
+      prog.broadcast_row(prog.param(&lit_embed_), g.num_lits),
+      prog.constant(Matrix::zeros(g.num_lits, d))};
   LstmCell::State clause_state{
-      tape.broadcast_row(tape.param(&clause_embed_), g.num_clauses),
-      tape.constant(Matrix::zeros(g.num_clauses, d))};
+      prog.broadcast_row(prog.param(&clause_embed_), g.num_clauses),
+      prog.constant(Matrix::zeros(g.num_clauses, d))};
 
   for (std::size_t round = 0; round < rounds_; ++round) {
     // Clauses aggregate messages from their literals.
     const TensorId to_clause =
-        tape.spmm(&g.mcl, lit_msg_.forward(tape, lit_state.h));
-    clause_state = clause_update_.forward(tape, to_clause, clause_state);
+        prog.spmm(&g.mcl, lit_msg_.forward(prog, lit_state.h));
+    clause_state = clause_update_.forward(prog, to_clause, clause_state);
     // Literals aggregate from clauses and see their own negation's state.
     const TensorId to_lit =
-        tape.spmm(&g.mlc, clause_msg_.forward(tape, clause_state.h));
-    const TensorId flipped = tape.permute_rows(lit_state.h, g.flip);
+        prog.spmm(&g.mlc, clause_msg_.forward(prog, clause_state.h));
+    const TensorId flipped = prog.permute_rows(lit_state.h, g.flip);
     lit_state = lit_update_.forward(
-        tape, tape.concat_cols(to_lit, flipped), lit_state);
+        prog, prog.concat_cols(to_lit, flipped), lit_state);
   }
-  const TensorId pooled = tape.mean_rows(lit_state.h);
-  return head_.forward(tape, pooled);
+  const TensorId pooled = prog.mean_rows(lit_state.h);
+  return head_.forward(prog, pooled);
 }
 
 void NeuroSatModel::collect_parameters(std::vector<Parameter*>& out) {

@@ -1,7 +1,7 @@
 #pragma once
 /// \file models.hpp
 /// The paper's NeuroSelect classifier (Sec. 4) and the two baselines of
-/// Table 2, all built on the autograd tape:
+/// Table 2, each recording its forward pass onto a `Program`:
 ///
 ///  - `NeuroSelectModel`: L Hybrid-Graph-Transformer layers, each = 3
 ///    message-passing layers (Eqs. 6–7) + a linear-attention block over
@@ -19,9 +19,9 @@
 #include <string_view>
 
 #include "graph/graph.hpp"
+#include "nn/executor.hpp"
 #include "nn/layers.hpp"
 #include "nn/sparse.hpp"
-#include "nn/tape.hpp"
 
 namespace ns::nn {
 
@@ -63,16 +63,25 @@ class SatClassifier : public Module {
  public:
   virtual std::string_view name() const = 0;
 
-  /// Records the forward pass over one instance's graph on `tape` and
+  /// Records the forward pass over one instance's graph on `prog` and
   /// returns its (1×1) logit. The graph must have at least one variable and
   /// one clause.
-  virtual TensorId forward_logits(Tape& tape, const GraphBatch& g) = 0;
+  virtual TensorId forward_logits(Program& prog, const GraphBatch& g) = 0;
 
   /// Inference convenience: P(label == 1). Records once and runs an
   /// inference-mode executor (no gradient storage, planned workspace); for
   /// repeated queries on the same graph keep an `InferenceSession` instead.
   float predict_probability(const GraphBatch& g);
 };
+
+/// The one verified compile step: runs the recorded program through the
+/// static IR verifier, plans an executor, and proves its workspace
+/// alias-safe before the first forward(). A corrupted or mis-recorded model
+/// is an `audit::AuditError` here, not a wrong probability or gradient
+/// downstream. `InferenceSession` and the trainer's compile cache both
+/// build their executors through it.
+std::unique_ptr<Executor> make_verified_executor(const Program& prog,
+                                                 ExecMode mode);
 
 /// Records a classifier's forward over one instance once, then re-executes
 /// it against a liveness-planned inference workspace. Repeated predictions
@@ -89,11 +98,8 @@ class InferenceSession {
   /// P(label == 1) for the session's graph.
   float predict_probability();
 
-  const Program& program() const { return tape_.program(); }
-  const Executor& executor() const { return *exec_; }
-
  private:
-  Tape tape_;
+  Program prog_;
   TensorId logit_;
   std::unique_ptr<Executor> exec_;
 };
@@ -106,7 +112,7 @@ class MpnnLayer : public Module {
   MpnnLayer(std::size_t dim, std::mt19937_64& rng);
 
   /// (x_vars, x_clauses) -> (x_vars', x_clauses').
-  std::pair<TensorId, TensorId> forward(Tape& tape, const VcGraphTensors& g,
+  std::pair<TensorId, TensorId> forward(Program& prog, const VcGraphTensors& g,
                                         TensorId xv, TensorId xc);
 
   void collect_parameters(std::vector<Parameter*>& out) override;
@@ -124,7 +130,7 @@ class LinearAttention : public Module {
   LinearAttention(std::size_t dim, std::mt19937_64& rng);
 
   /// Attention over the rows of `z` (one graph's variable nodes).
-  TensorId forward(Tape& tape, TensorId z);
+  TensorId forward(Program& prog, TensorId z);
 
   void collect_parameters(std::vector<Parameter*>& out) override;
 
@@ -140,7 +146,7 @@ class HgtLayer : public Module {
   HgtLayer(std::size_t dim, std::size_t mpnn_depth, bool use_attention,
            std::mt19937_64& rng);
 
-  std::pair<TensorId, TensorId> forward(Tape& tape, const VcGraphTensors& g,
+  std::pair<TensorId, TensorId> forward(Program& prog, const VcGraphTensors& g,
                                         TensorId xv, TensorId xc);
 
   void collect_parameters(std::vector<Parameter*>& out) override;
@@ -169,7 +175,7 @@ class NeuroSelectModel final : public SatClassifier {
   std::string_view name() const override {
     return config_.use_attention ? "NeuroSelect" : "NeuroSelect-w/o-attention";
   }
-  TensorId forward_logits(Tape& tape, const GraphBatch& g) override;
+  TensorId forward_logits(Program& prog, const GraphBatch& g) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
   const NeuroSelectConfig& config() const { return config_; }
@@ -188,7 +194,7 @@ class GinModel final : public SatClassifier {
   GinModel(std::size_t hidden_dim, std::size_t num_layers, std::uint64_t seed);
 
   std::string_view name() const override { return "G4SATBench-GIN"; }
-  TensorId forward_logits(Tape& tape, const GraphBatch& g) override;
+  TensorId forward_logits(Program& prog, const GraphBatch& g) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:
@@ -208,7 +214,7 @@ class NeuroSatModel final : public SatClassifier {
                 std::uint64_t seed);
 
   std::string_view name() const override { return "NeuroSAT"; }
-  TensorId forward_logits(Tape& tape, const GraphBatch& g) override;
+  TensorId forward_logits(Program& prog, const GraphBatch& g) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:

@@ -10,8 +10,9 @@ std::string shape_str(const Inst& i) {
   return std::to_string(i.rows) + "x" + std::to_string(i.cols);
 }
 
-[[noreturn]] void fail(const char* op, const std::string& detail) {
-  throw std::invalid_argument(std::string("tape.") + op + ": " + detail);
+[[noreturn]] void fail(Op op, const std::string& detail) {
+  throw std::invalid_argument(std::string("program.") + op_name(op) + ": " +
+                              detail);
 }
 
 }  // namespace
@@ -48,16 +49,16 @@ const char* op_name(Op op) {
 const Inst& Program::at(TensorId id) const {
   if (!id.valid() || static_cast<std::size_t>(id.idx) >= insts_.size()) {
     // NS_SUPPRESS(throw, allocation): cold bounds guard — ids handed out
-    // by the tape are always valid, so a verified program never takes it.
+    // by the recorder are always valid, so a verified program never takes it.
     throw std::invalid_argument(
-        "tape: TensorId " + std::to_string(id.idx) +
+        "program: TensorId " + std::to_string(id.idx) +
         " does not name a recorded node (program has " +
         std::to_string(insts_.size()) + ")");
   }
   return insts_[id.idx];
 }
 
-const Inst& Program::operand(const char* op, TensorId id) const {
+const Inst& Program::operand(Op op, TensorId id) const {
   if (!id.valid() || static_cast<std::size_t>(id.idx) >= insts_.size()) {
     fail(op, "operand TensorId " + std::to_string(id.idx) +
                  " does not name a recorded node (program has " +
@@ -66,9 +67,28 @@ const Inst& Program::operand(const char* op, TensorId id) const {
   return insts_[id.idx];
 }
 
-TensorId Program::push(Inst inst) {
-  insts_.push_back(inst);
+TensorId Program::push(Inst n, TensorId a, TensorId b) {
+  n.a = a.idx;
+  n.b = b.idx;
+  for (const TensorId in : {a, b}) {
+    if (in.valid() && insts_[in.idx].requires_grad) n.requires_grad = true;
+  }
+  insts_.push_back(n);
   return TensorId{static_cast<std::int32_t>(insts_.size()) - 1};
+}
+
+TensorId Program::same_shape(Op op, TensorId a, float f0) {
+  const Inst& va = operand(op, a);
+  return push({.op = op, .rows = va.rows, .cols = va.cols, .f0 = f0}, a);
+}
+
+TensorId Program::elementwise(Op op, TensorId a, TensorId b) {
+  const Inst& va = operand(op, a);
+  const Inst& vb = operand(op, b);
+  if (va.rows != vb.rows || va.cols != vb.cols) {
+    fail(op, "shapes differ: " + shape_str(va) + " vs " + shape_str(vb));
+  }
+  return push({.op = op, .rows = va.rows, .cols = va.cols}, a, b);
 }
 
 std::size_t Program::total_value_elements() const {
@@ -80,349 +100,201 @@ std::size_t Program::total_value_elements() const {
 }
 
 TensorId Program::constant(Matrix value) {
-  Inst n;
-  n.op = Op::kConstant;
-  n.rows = static_cast<std::uint32_t>(value.rows());
-  n.cols = static_cast<std::uint32_t>(value.cols());
-  n.u0 = static_cast<std::uint32_t>(literals_.size());
+  const Inst n{.op = Op::kConstant,
+               .rows = static_cast<std::uint32_t>(value.rows()),
+               .cols = static_cast<std::uint32_t>(value.cols()),
+               .u0 = static_cast<std::uint32_t>(literals_.size())};
   literals_.push_back(std::move(value));
   return push(n);
 }
 
 TensorId Program::param(Parameter* p) {
-  if (p == nullptr) fail("param", "null Parameter binding");
-  Inst n;
-  n.op = Op::kParam;
-  n.requires_grad = true;
-  n.rows = static_cast<std::uint32_t>(p->value.rows());
-  n.cols = static_cast<std::uint32_t>(p->value.cols());
-  n.param = p;
-  return push(n);
+  if (p == nullptr) fail(Op::kParam, "null Parameter binding");
+  return push({.op = Op::kParam,
+               .requires_grad = true,
+               .rows = static_cast<std::uint32_t>(p->value.rows()),
+               .cols = static_cast<std::uint32_t>(p->value.cols()),
+               .param = p});
 }
 
 TensorId Program::matmul(TensorId a, TensorId b) {
-  const Inst& va = operand("matmul", a);
-  const Inst& vb = operand("matmul", b);
+  const Inst& va = operand(Op::kMatmul, a);
+  const Inst& vb = operand(Op::kMatmul, b);
   if (va.cols != vb.rows) {
-    fail("matmul", "inner dimensions differ: A is " + shape_str(va) +
-                       ", B is " + shape_str(vb));
+    fail(Op::kMatmul, "inner dimensions differ: A is " + shape_str(va) +
+                          ", B is " + shape_str(vb));
   }
-  Inst n;
-  n.op = Op::kMatmul;
-  n.requires_grad = va.requires_grad || vb.requires_grad;
-  n.a = a.idx;
-  n.b = b.idx;
-  n.rows = va.rows;
-  n.cols = vb.cols;
-  return push(n);
+  return push({.op = Op::kMatmul, .rows = va.rows, .cols = vb.cols}, a, b);
 }
 
 TensorId Program::matmul_at_b(TensorId a, TensorId b) {
-  const Inst& va = operand("matmul_at_b", a);
-  const Inst& vb = operand("matmul_at_b", b);
+  const Inst& va = operand(Op::kMatmulAtB, a);
+  const Inst& vb = operand(Op::kMatmulAtB, b);
   if (va.rows != vb.rows) {
-    fail("matmul_at_b", "row counts differ: A is " + shape_str(va) +
-                            ", B is " + shape_str(vb));
+    fail(Op::kMatmulAtB, "row counts differ: A is " + shape_str(va) +
+                             ", B is " + shape_str(vb));
   }
-  Inst n;
-  n.op = Op::kMatmulAtB;
-  n.requires_grad = va.requires_grad || vb.requires_grad;
-  n.a = a.idx;
-  n.b = b.idx;
-  n.rows = va.cols;
-  n.cols = vb.cols;
-  return push(n);
+  return push({.op = Op::kMatmulAtB, .rows = va.cols, .cols = vb.cols}, a, b);
 }
 
 TensorId Program::add(TensorId a, TensorId b) {
-  const Inst& va = operand("add", a);
-  const Inst& vb = operand("add", b);
-  if (va.rows != vb.rows || va.cols != vb.cols) {
-    fail("add", "shapes differ: " + shape_str(va) + " vs " + shape_str(vb));
-  }
-  Inst n;
-  n.op = Op::kAdd;
-  n.requires_grad = va.requires_grad || vb.requires_grad;
-  n.a = a.idx;
-  n.b = b.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  return push(n);
+  return elementwise(Op::kAdd, a, b);
 }
 
 TensorId Program::sub(TensorId a, TensorId b) {
-  const Inst& va = operand("sub", a);
-  const Inst& vb = operand("sub", b);
-  if (va.rows != vb.rows || va.cols != vb.cols) {
-    fail("sub", "shapes differ: " + shape_str(va) + " vs " + shape_str(vb));
-  }
-  Inst n;
-  n.op = Op::kSub;
-  n.requires_grad = va.requires_grad || vb.requires_grad;
-  n.a = a.idx;
-  n.b = b.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  return push(n);
+  return elementwise(Op::kSub, a, b);
 }
 
 TensorId Program::hadamard(TensorId a, TensorId b) {
-  const Inst& va = operand("hadamard", a);
-  const Inst& vb = operand("hadamard", b);
-  if (va.rows != vb.rows || va.cols != vb.cols) {
-    fail("hadamard",
-         "shapes differ: " + shape_str(va) + " vs " + shape_str(vb));
-  }
-  Inst n;
-  n.op = Op::kHadamard;
-  n.requires_grad = va.requires_grad || vb.requires_grad;
-  n.a = a.idx;
-  n.b = b.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  return push(n);
+  return elementwise(Op::kHadamard, a, b);
 }
 
 TensorId Program::add_scalar(TensorId a, float s) {
-  const Inst& va = operand("add_scalar", a);
-  Inst n;
-  n.op = Op::kAddScalar;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  n.f0 = s;
-  return push(n);
+  return same_shape(Op::kAddScalar, a, s);
 }
 
 TensorId Program::reciprocal(TensorId a) {
-  const Inst& va = operand("reciprocal", a);
-  Inst n;
-  n.op = Op::kReciprocal;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  return push(n);
+  return same_shape(Op::kReciprocal, a);
 }
 
-TensorId Program::relu(TensorId a) {
-  const Inst& va = operand("relu", a);
-  Inst n;
-  n.op = Op::kRelu;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  return push(n);
-}
+TensorId Program::relu(TensorId a) { return same_shape(Op::kRelu, a); }
 
-TensorId Program::sigmoid(TensorId a) {
-  const Inst& va = operand("sigmoid", a);
-  Inst n;
-  n.op = Op::kSigmoid;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  return push(n);
-}
+TensorId Program::sigmoid(TensorId a) { return same_shape(Op::kSigmoid, a); }
 
-TensorId Program::tanh_fn(TensorId a) {
-  const Inst& va = operand("tanh_fn", a);
-  Inst n;
-  n.op = Op::kTanh;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  return push(n);
-}
+TensorId Program::tanh_fn(TensorId a) { return same_shape(Op::kTanh, a); }
 
 TensorId Program::spmm(const SparseMatrix* s, TensorId x) {
-  if (s == nullptr) fail("spmm", "null SparseMatrix operator");
-  const Inst& vx = operand("spmm", x);
+  if (s == nullptr) fail(Op::kSpmm, "null SparseMatrix operator");
+  const Inst& vx = operand(Op::kSpmm, x);
   if (s->cols() != vx.rows) {
-    fail("spmm", "S is " + std::to_string(s->rows()) + "x" +
-                     std::to_string(s->cols()) + " but X is " + shape_str(vx));
+    fail(Op::kSpmm, "S is " + std::to_string(s->rows()) + "x" +
+                        std::to_string(s->cols()) + " but X is " +
+                        shape_str(vx));
   }
-  Inst n;
-  n.op = Op::kSpmm;
-  n.requires_grad = vx.requires_grad;
-  n.a = x.idx;
-  n.rows = static_cast<std::uint32_t>(s->rows());
-  n.cols = vx.cols;
-  n.sparse = s;
-  return push(n);
+  return push({.op = Op::kSpmm,
+               .rows = static_cast<std::uint32_t>(s->rows()),
+               .cols = vx.cols,
+               .sparse = s},
+              x);
 }
 
 TensorId Program::frobenius_normalize(TensorId a) {
-  const Inst& va = operand("frobenius_normalize", a);
-  Inst n;
-  n.op = Op::kFrobeniusNormalize;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  return push(n);
+  return same_shape(Op::kFrobeniusNormalize, a);
 }
 
 TensorId Program::add_row_broadcast(TensorId x, TensorId bias_row) {
-  const Inst& vx = operand("add_row_broadcast", x);
-  const Inst& vb = operand("add_row_broadcast", bias_row);
+  const Inst& vx = operand(Op::kAddRowBroadcast, x);
+  const Inst& vb = operand(Op::kAddRowBroadcast, bias_row);
   if (vb.rows != 1 || vb.cols != vx.cols) {
-    fail("add_row_broadcast", "bias must be 1x" + std::to_string(vx.cols) +
-                                  " to broadcast over X " + shape_str(vx) +
-                                  ", got " + shape_str(vb));
+    fail(Op::kAddRowBroadcast, "bias must be 1x" + std::to_string(vx.cols) +
+                                   " to broadcast over X " + shape_str(vx) +
+                                   ", got " + shape_str(vb));
   }
-  Inst n;
-  n.op = Op::kAddRowBroadcast;
-  n.requires_grad = vx.requires_grad || vb.requires_grad;
-  n.a = x.idx;
-  n.b = bias_row.idx;
-  n.rows = vx.rows;
-  n.cols = vx.cols;
-  return push(n);
+  return push({.op = Op::kAddRowBroadcast, .rows = vx.rows, .cols = vx.cols},
+              x, bias_row);
 }
 
 TensorId Program::broadcast_row(TensorId row, std::size_t n_rows) {
-  const Inst& vr = operand("broadcast_row", row);
+  const Inst& vr = operand(Op::kBroadcastRow, row);
   if (vr.rows != 1) {
-    fail("broadcast_row", "input must be a single row, got " + shape_str(vr));
+    fail(Op::kBroadcastRow,
+         "input must be a single row, got " + shape_str(vr));
   }
-  if (n_rows == 0) fail("broadcast_row", "cannot broadcast to 0 rows");
-  Inst n;
-  n.op = Op::kBroadcastRow;
-  n.requires_grad = vr.requires_grad;
-  n.a = row.idx;
-  n.rows = static_cast<std::uint32_t>(n_rows);
-  n.cols = vr.cols;
-  n.u0 = static_cast<std::uint32_t>(n_rows);
-  return push(n);
+  if (n_rows == 0) fail(Op::kBroadcastRow, "cannot broadcast to 0 rows");
+  const auto n = static_cast<std::uint32_t>(n_rows);
+  return push({.op = Op::kBroadcastRow, .rows = n, .cols = vr.cols, .u0 = n},
+              row);
 }
 
 TensorId Program::row_mul(TensorId x, TensorId s) {
-  const Inst& vx = operand("row_mul", x);
-  const Inst& vs = operand("row_mul", s);
+  const Inst& vx = operand(Op::kRowMul, x);
+  const Inst& vs = operand(Op::kRowMul, s);
   if (vs.rows != vx.rows || vs.cols != 1) {
-    fail("row_mul", "scale must be " + std::to_string(vx.rows) +
-                        "x1 for X " + shape_str(vx) + ", got " +
-                        shape_str(vs));
+    fail(Op::kRowMul, "scale must be " + std::to_string(vx.rows) +
+                          "x1 for X " + shape_str(vx) + ", got " +
+                          shape_str(vs));
   }
-  Inst n;
-  n.op = Op::kRowMul;
-  n.requires_grad = vx.requires_grad || vs.requires_grad;
-  n.a = x.idx;
-  n.b = s.idx;
-  n.rows = vx.rows;
-  n.cols = vx.cols;
-  return push(n);
+  return push({.op = Op::kRowMul, .rows = vx.rows, .cols = vx.cols}, x, s);
 }
 
 TensorId Program::scalar_mul(TensorId x, TensorId s) {
-  const Inst& vx = operand("scalar_mul", x);
-  const Inst& vs = operand("scalar_mul", s);
+  const Inst& vx = operand(Op::kScalarMul, x);
+  const Inst& vs = operand(Op::kScalarMul, s);
   if (vs.rows != 1 || vs.cols != 1) {
-    fail("scalar_mul", "scale must be 1x1, got " + shape_str(vs));
+    fail(Op::kScalarMul, "scale must be 1x1, got " + shape_str(vs));
   }
-  Inst n;
-  n.op = Op::kScalarMul;
-  n.requires_grad = vx.requires_grad || vs.requires_grad;
-  n.a = x.idx;
-  n.b = s.idx;
-  n.rows = vx.rows;
-  n.cols = vx.cols;
-  return push(n);
+  return push({.op = Op::kScalarMul, .rows = vx.rows, .cols = vx.cols}, x, s);
 }
 
 TensorId Program::mean_rows(TensorId a) {
-  const Inst& va = operand("mean_rows", a);
-  if (va.rows == 0) fail("mean_rows", "input has no rows");
-  Inst n;
-  n.op = Op::kMeanRows;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = 1;
-  n.cols = va.cols;
-  return push(n);
+  const Inst& va = operand(Op::kMeanRows, a);
+  if (va.rows == 0) fail(Op::kMeanRows, "input has no rows");
+  return push({.op = Op::kMeanRows, .rows = 1, .cols = va.cols}, a);
 }
 
 TensorId Program::concat_cols(TensorId a, TensorId b) {
-  const Inst& va = operand("concat_cols", a);
-  const Inst& vb = operand("concat_cols", b);
+  const Inst& va = operand(Op::kConcatCols, a);
+  const Inst& vb = operand(Op::kConcatCols, b);
   if (va.rows != vb.rows) {
-    fail("concat_cols",
+    fail(Op::kConcatCols,
          "row counts differ: " + shape_str(va) + " vs " + shape_str(vb));
   }
-  Inst n;
-  n.op = Op::kConcatCols;
-  n.requires_grad = va.requires_grad || vb.requires_grad;
-  n.a = a.idx;
-  n.b = b.idx;
-  n.rows = va.rows;
-  n.cols = va.cols + vb.cols;
-  return push(n);
+  return push(
+      {.op = Op::kConcatCols, .rows = va.rows, .cols = va.cols + vb.cols}, a,
+      b);
 }
 
 TensorId Program::slice_cols(TensorId a, std::size_t start, std::size_t len) {
-  const Inst& va = operand("slice_cols", a);
+  const Inst& va = operand(Op::kSliceCols, a);
   if (start + len > va.cols) {
-    fail("slice_cols", "range [" + std::to_string(start) + ", " +
-                           std::to_string(start + len) +
-                           ") exceeds input with " + std::to_string(va.cols) +
-                           " columns");
+    fail(Op::kSliceCols, "range [" + std::to_string(start) + ", " +
+                             std::to_string(start + len) +
+                             ") exceeds input with " +
+                             std::to_string(va.cols) + " columns");
   }
-  Inst n;
-  n.op = Op::kSliceCols;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = static_cast<std::uint32_t>(len);
-  n.u0 = static_cast<std::uint32_t>(start);
-  n.u1 = static_cast<std::uint32_t>(len);
-  return push(n);
+  const auto l = static_cast<std::uint32_t>(len);
+  return push({.op = Op::kSliceCols,
+               .rows = va.rows,
+               .cols = l,
+               .u0 = static_cast<std::uint32_t>(start),
+               .u1 = l},
+              a);
 }
 
 TensorId Program::permute_rows(TensorId a, std::vector<std::uint32_t> perm) {
-  const Inst& va = operand("permute_rows", a);
+  const Inst& va = operand(Op::kPermuteRows, a);
   if (perm.size() != va.rows) {
-    fail("permute_rows", "permutation has " + std::to_string(perm.size()) +
-                             " entries for input with " +
-                             std::to_string(va.rows) + " rows");
+    fail(Op::kPermuteRows, "permutation has " + std::to_string(perm.size()) +
+                               " entries for input with " +
+                               std::to_string(va.rows) + " rows");
   }
   for (std::uint32_t p : perm) {
     if (p >= va.rows) {
-      fail("permute_rows", "index " + std::to_string(p) +
-                               " out of range for " + std::to_string(va.rows) +
-                               " rows");
+      fail(Op::kPermuteRows, "index " + std::to_string(p) +
+                                 " out of range for " +
+                                 std::to_string(va.rows) + " rows");
     }
   }
-  Inst n;
-  n.op = Op::kPermuteRows;
-  n.requires_grad = va.requires_grad;
-  n.a = a.idx;
-  n.rows = va.rows;
-  n.cols = va.cols;
-  n.u0 = static_cast<std::uint32_t>(perms_.size());
+  const Inst n{.op = Op::kPermuteRows,
+               .rows = va.rows,
+               .cols = va.cols,
+               .u0 = static_cast<std::uint32_t>(perms_.size())};
   perms_.push_back(std::move(perm));
-  return push(n);
+  return push(n, a);
 }
 
 TensorId Program::bce_with_logits(TensorId logit, float target,
                                   float pos_weight) {
-  const Inst& vl = operand("bce_with_logits", logit);
+  const Inst& vl = operand(Op::kBceWithLogits, logit);
   if (vl.rows != 1 || vl.cols != 1) {
-    fail("bce_with_logits", "logit must be 1x1, got " + shape_str(vl));
+    fail(Op::kBceWithLogits, "logit must be 1x1, got " + shape_str(vl));
   }
-  Inst n;
-  n.op = Op::kBceWithLogits;
-  n.requires_grad = vl.requires_grad;
-  n.a = logit.idx;
-  n.rows = 1;
-  n.cols = 1;
-  n.f0 = target;
-  n.f1 = pos_weight;
-  return push(n);
+  return push({.op = Op::kBceWithLogits,
+               .rows = 1,
+               .cols = 1,
+               .f0 = target,
+               .f1 = pos_weight},
+              logit);
 }
 
 }  // namespace ns::nn

@@ -7,16 +7,17 @@
 /// and any immediates (scalars, slice bounds, a permutation-pool index, a
 /// `Parameter*` or `SparseMatrix*` binding). Recording performs full shape
 /// inference and validation — a mismatched matmul or concat is an
-/// `std::invalid_argument` at recording time, not UB at execution time —
-/// and tracks `requires_grad` per node so executors can skip gradient
-/// storage for constants and for every node in inference-only runs.
+/// `std::invalid_argument` at recording time, not UB at execution time,
+/// and leaves the program unchanged — and tracks `requires_grad` per node
+/// so executors can skip gradient storage for constants and for every node
+/// in inference-only runs.
 ///
 /// A recorded program holds no computed values and no `std::function`
 /// closures. It is re-runnable: parameter leaves bind the live
 /// `Parameter::value`, so executing the same program after an optimizer
 /// step (or after writing new data into a bound parameter) sees the fresh
-/// inputs. Execution lives in `Executor` (executor.hpp); the legacy
-/// eager-style convenience wrapper is `Tape` (tape.hpp).
+/// inputs. Execution lives in `Executor` (executor.hpp), and
+/// `audit::verify_program` re-checks a recording independently.
 ///
 /// The op set is exactly what the paper's models need: dense/sparse matrix
 /// products, elementwise arithmetic and activations, row scaling (the D⁻¹
@@ -45,7 +46,7 @@ struct Parameter {
   void zero_grad() { grad.fill(0.0f); }
 };
 
-/// Handle to a tensor recorded on a Program (or its Tape facade).
+/// Handle to a tensor recorded on a Program.
 struct TensorId {
   std::int32_t idx = -1;
   bool valid() const { return idx >= 0; }
@@ -178,7 +179,6 @@ class Program {
 
   std::size_t rows(TensorId id) const { return at(id).rows; }
   std::size_t cols(TensorId id) const { return at(id).cols; }
-  bool requires_grad(TensorId id) const { return at(id).requires_grad; }
 
   /// Instruction behind a handle, with validation (throws on bad ids).
   const Inst& at(TensorId id) const;
@@ -203,8 +203,20 @@ class Program {
 
  private:
   /// Validates an operand handle; returns its instruction.
-  const Inst& operand(const char* op, TensorId id) const;
-  TensorId push(Inst inst);
+  const Inst& operand(Op op, TensorId id) const;
+
+  /// Appends `n` with operand slots `a` and `b` (an unset slot stays -1).
+  /// Every recorder ends here, so this is where the requires_grad rule
+  /// lives: a node requires gradients if it is a Parameter leaf or any of
+  /// its operands does.
+  TensorId push(Inst n, TensorId a = {}, TensorId b = {});
+
+  /// Recorder of the unary ops whose output has the operand's shape;
+  /// `f0` is the one immediate (add_scalar's addend).
+  TensorId same_shape(Op op, TensorId a, float f0 = 0.0f);
+
+  /// Recorder of the equal-shape elementwise binary ops.
+  TensorId elementwise(Op op, TensorId a, TensorId b);
 
   std::vector<Inst> insts_;
   std::vector<Matrix> literals_;

@@ -12,9 +12,10 @@ std::unique_ptr<DeletionPolicy> make_policy(PolicyKind kind) {
   }
 }
 
-PolicyKind policy_kind_from_name(const std::string& name) {
+std::optional<PolicyKind> policy_kind_from_name(const std::string& name) {
+  if (name == "default") return PolicyKind::kDefault;
   if (name == "frequency") return PolicyKind::kFrequency;
-  return PolicyKind::kDefault;
+  return std::nullopt;
 }
 
 }  // namespace ns::policy

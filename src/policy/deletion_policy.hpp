@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -78,7 +79,7 @@ class FrequencyPolicy final : public DeletionPolicy {
 /// Factory for the built-in policies.
 std::unique_ptr<DeletionPolicy> make_policy(PolicyKind kind);
 
-/// Parses "default"/"frequency"; returns kDefault for unknown names.
-PolicyKind policy_kind_from_name(const std::string& name);
+/// Parses "default"/"frequency"; nullopt for any other name.
+std::optional<PolicyKind> policy_kind_from_name(const std::string& name);
 
 }  // namespace ns::policy

@@ -1,28 +1,37 @@
 #pragma once
-/// Test-only numerical gradient checking for the autograd tape.
+/// Test-only helpers for recorded programs: one-shot evaluation and
+/// numerical gradient checking.
 ///
-/// `build` must construct the forward computation on a fresh tape using the
-/// supplied parameters and return a scalar (1×1) loss tensor. The check
+/// `build` must record the forward computation on a fresh `Program` using
+/// the supplied parameters and return a scalar (1×1) loss tensor. The check
 /// perturbs every parameter entry with central differences and compares
-/// against the analytic gradient from backward().
+/// against the analytic gradient from a training executor's backward().
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <vector>
 
-#include "nn/tape.hpp"
+#include "nn/executor.hpp"
 
 namespace ns::testing {
 
-using BuildFn = std::function<nn::TensorId(nn::Tape&)>;
+/// Value of `id` after one forward of a fresh training-mode executor over
+/// `prog` (training mode keeps every node readable).
+inline nn::Matrix forward_value(const nn::Program& prog, nn::TensorId id) {
+  nn::Executor exec(prog, nn::ExecMode::kTraining);
+  exec.forward();
+  return exec.value(id);
+}
+
+using BuildFn = std::function<nn::TensorId(nn::Program&)>;
 
 inline float eval_loss(const BuildFn& build) {
-  nn::Tape tape;
-  const nn::TensorId loss = build(tape);
-  EXPECT_EQ(tape.value(loss).rows(), 1u);
-  EXPECT_EQ(tape.value(loss).cols(), 1u);
-  return tape.value(loss).at(0, 0);
+  nn::Program prog;
+  const nn::TensorId loss = build(prog);
+  EXPECT_EQ(prog.rows(loss), 1u);
+  EXPECT_EQ(prog.cols(loss), 1u);
+  return forward_value(prog, loss).at(0, 0);
 }
 
 /// Checks d(loss)/d(param) for every entry of every parameter.
@@ -32,9 +41,9 @@ inline void expect_gradients_match(std::vector<nn::Parameter*> params,
   // Analytic pass.
   for (nn::Parameter* p : params) p->zero_grad();
   {
-    nn::Tape tape;
-    const nn::TensorId loss = build(tape);
-    tape.backward(loss);
+    nn::Program prog;
+    const nn::TensorId loss = build(prog);
+    nn::Executor(prog, nn::ExecMode::kTraining).backward(loss);
   }
   // Numeric pass, entry by entry.
   std::size_t checked = 0;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -704,6 +705,108 @@ TEST(VerifyProgram, MeanRowsWithForbiddenOperand) {
   net.prog.debug_inst(net.mean.idx).b = 0;  // mean_rows is unary
   const auto out = verify_program(net.prog);
   EXPECT_TRUE(has_rule(out, "ir.arity")) << rules_of(out);
+}
+
+// --- every opcode through the verifier ---------------------------------------
+
+/// Records every opcode of nn::Op below the 3×2 leaf `x`: each compute op
+/// reads `x` or a node computed from it, and the other operands are
+/// constants. The Parameter leaf `w` feeds nothing, so the program covers
+/// kParam even when `x` is a constant.
+void record_every_op(nn::Program& prog, nn::TensorId x, nn::Parameter* w,
+                     const nn::SparseMatrix* s) {
+  prog.param(w);
+  const nn::TensorId c = prog.constant(nn::Matrix(3, 2, 0.25f));
+  prog.matmul(x, prog.constant(nn::Matrix(2, 3, 0.5f)));
+  prog.matmul_at_b(x, c);
+  const nn::TensorId diff = prog.sub(prog.add(x, c), c);
+  const nn::TensorId inv =
+      prog.reciprocal(prog.add_scalar(prog.hadamard(diff, x), 2.0f));
+  prog.tanh_fn(prog.sigmoid(prog.relu(inv)));
+  prog.spmm(s, x);
+  prog.frobenius_normalize(x);
+  prog.add_row_broadcast(x, prog.constant(nn::Matrix(1, 2, 0.1f)));
+  const nn::TensorId mean = prog.mean_rows(x);
+  prog.broadcast_row(mean, 5);
+  prog.row_mul(x, prog.constant(nn::Matrix(3, 1, 2.0f)));
+  prog.scalar_mul(x, prog.constant(nn::Matrix(1, 1, 3.0f)));
+  prog.slice_cols(prog.concat_cols(x, c), 1, 2);
+  prog.permute_rows(x, {2, 0, 1});
+  const nn::TensorId logit =
+      prog.matmul(mean, prog.constant(nn::Matrix(2, 1, 1.0f)));
+  prog.bce_with_logits(logit, 1.0f, 2.0f);
+}
+
+/// Records every opcode below `x`, checks that all 23 occur, and that the
+/// verifier and both executor plans report nothing. Returns the program's
+/// compute instructions' requires_grad flags.
+std::vector<bool> every_op_verifies_clean(bool x_is_param) {
+  nn::Parameter w(nn::Matrix(1, 1, 0.5f));
+  nn::Parameter xp(nn::Matrix(3, 2, 0.75f));
+  const nn::SparseMatrix s = nn::SparseMatrix::from_coo(
+      4, 3, {0, 1, 3}, {2, 0, 1}, {1.0f, -1.0f, 0.5f});
+  nn::Program prog;
+  const nn::TensorId x =
+      x_is_param ? prog.param(&xp) : prog.constant(nn::Matrix(3, 2, 0.75f));
+  record_every_op(prog, x, &w, &s);
+
+  std::vector<bool> seen(23, false);
+  std::vector<bool> compute_requires_grad;
+  for (const nn::Inst& in : prog.insts()) {
+    seen[static_cast<std::size_t>(in.op)] = true;
+    if (in.op != nn::Op::kConstant && in.op != nn::Op::kParam) {
+      compute_requires_grad.push_back(in.requires_grad);
+    }
+  }
+  for (std::size_t op = 0; op < seen.size(); ++op) {
+    EXPECT_TRUE(seen[op]) << nn::op_name(static_cast<nn::Op>(op));
+  }
+  const auto out = verify_program(prog);
+  EXPECT_TRUE(out.empty()) << rules_of(out);
+  for (const nn::ExecMode mode :
+       {nn::ExecMode::kInference, nn::ExecMode::kTraining}) {
+    nn::Executor ex(prog, mode);
+    const auto plan = verify_workspace_plan(prog, ex.plan_snapshot());
+    EXPECT_TRUE(plan.empty()) << rules_of(plan);
+  }
+  return compute_requires_grad;
+}
+
+TEST(VerifyProgram, EveryOpcodeFedByConstantsVerifiesClean) {
+  for (const bool rg : every_op_verifies_clean(/*x_is_param=*/false)) {
+    EXPECT_FALSE(rg);
+  }
+}
+
+TEST(VerifyProgram, EveryOpcodeBelowAParameterVerifiesClean) {
+  for (const bool rg : every_op_verifies_clean(/*x_is_param=*/true)) {
+    EXPECT_TRUE(rg);
+  }
+}
+
+TEST(VerifyProgram, RejectedRecordingLeavesProgramUnchanged) {
+  nn::Program prog;
+  const nn::TensorId a = prog.constant(nn::Matrix(3, 2, 1.0f));
+  prog.permute_rows(a, {1, 2, 0});
+  const std::size_t insts = prog.num_insts();
+  const std::size_t literals = prog.num_literals();
+  const std::size_t perms = prog.num_perms();
+  const nn::SparseMatrix s = nn::SparseMatrix::from_coo(2, 5, {0}, {4}, {1.0f});
+
+  EXPECT_THROW(prog.matmul(a, a), std::invalid_argument);
+  EXPECT_THROW(prog.permute_rows(a, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(prog.permute_rows(a, {0, 1, 3}), std::invalid_argument);
+  EXPECT_THROW(prog.slice_cols(a, 1, 2), std::invalid_argument);
+  EXPECT_THROW(prog.broadcast_row(a, 4), std::invalid_argument);
+  EXPECT_THROW(prog.spmm(&s, a), std::invalid_argument);
+  EXPECT_THROW(prog.spmm(nullptr, a), std::invalid_argument);
+  EXPECT_THROW(prog.param(nullptr), std::invalid_argument);
+  EXPECT_THROW(prog.relu(nn::TensorId{7}), std::invalid_argument);
+  EXPECT_EQ(prog.num_insts(), insts);
+  EXPECT_EQ(prog.num_literals(), literals);
+  EXPECT_EQ(prog.num_perms(), perms);
+  const auto out = verify_program(prog);
+  EXPECT_TRUE(out.empty()) << rules_of(out);
 }
 
 // --- workspace-plan verifier -------------------------------------------------

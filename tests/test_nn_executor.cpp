@@ -16,7 +16,6 @@
 #include "graph/graph.hpp"
 #include "nn/executor.hpp"
 #include "nn/models.hpp"
-#include "nn/tape.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace ns::nn {
@@ -79,14 +78,14 @@ TEST_P(ExecutorParityTest, ForwardAndGradientsMatchEagerBitwise) {
   const GraphBatch g = GraphBatch::build(gen::random_ksat(12, 40, 3, 77));
   const std::vector<Parameter*> params = model->parameters();
 
-  Tape tape;
-  const TensorId logit = model->forward_logits(tape, g);
-  const TensorId loss = tape.bce_with_logits(logit, 1.0f, 2.0f);
+  Program prog;
+  const TensorId logit = model->forward_logits(prog, g);
+  const TensorId loss = prog.bce_with_logits(logit, 1.0f, 2.0f);
 
   // Reference pass: replay the recorded program on the verbatim seed tape.
   for (Parameter* p : params) p->zero_grad();
   testing::EagerTape eager;
-  testing::replay_on_eager(tape.program(), eager);
+  testing::replay_on_eager(prog, eager);
   eager.backward(loss);
   const Matrix eager_logit = eager.value(logit);
   const Matrix eager_loss = eager.value(loss);
@@ -94,7 +93,7 @@ TEST_P(ExecutorParityTest, ForwardAndGradientsMatchEagerBitwise) {
 
   // Executor pass into the same Parameter objects, grads re-zeroed.
   for (Parameter* p : params) p->zero_grad();
-  Executor exec(tape.program(), ExecMode::kTraining);
+  Executor exec(prog, ExecMode::kTraining);
   exec.forward();
   EXPECT_TRUE(bitwise_equal(exec.value(logit), eager_logit));
   EXPECT_TRUE(bitwise_equal(exec.value(loss), eager_loss));
@@ -107,9 +106,9 @@ TEST_P(ExecutorParityTest, ForwardAndGradientsMatchEagerBitwise) {
   // Inference-mode executor on a loss-free recording (the deployment
   // shape, where the logit is the program output): same logit bits,
   // without any gradient state.
-  Tape itape;
-  const TensorId ilogit = model->forward_logits(itape, g);
-  Executor inf(itape.program(), ExecMode::kInference);
+  Program iprog;
+  const TensorId ilogit = model->forward_logits(iprog, g);
+  Executor inf(iprog, ExecMode::kInference);
   inf.forward();
   EXPECT_TRUE(bitwise_equal(inf.value(ilogit), eager_logit));
 }
@@ -134,9 +133,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ExecutorTest, RepeatedForwardIsBitwiseDeterministic) {
   auto model = make_classifier(ClassifierKind::kNeuroSelect, 3);
   const GraphBatch g = GraphBatch::build(gen::random_ksat(10, 32, 3, 5));
-  Tape tape;
-  const TensorId logit = model->forward_logits(tape, g);
-  Executor exec(tape.program(), ExecMode::kInference);
+  Program prog;
+  const TensorId logit = model->forward_logits(prog, g);
+  Executor exec(prog, ExecMode::kInference);
   exec.forward();
   const Matrix first = exec.value(logit);
   exec.forward();
@@ -159,28 +158,28 @@ TEST(ExecutorTest, InferenceSessionMatchesPredictProbability) {
 TEST(ExecutorTest, InferencePlanReusesBuffersAcrossLiveRanges) {
   auto model = make_classifier(ClassifierKind::kNeuroSelect, 21);
   const GraphBatch g = GraphBatch::build(gen::random_ksat(12, 40, 3, 13));
-  Tape tape;
-  model->forward_logits(tape, g);
+  Program prog;
+  model->forward_logits(prog, g);
 
-  Executor inf(tape.program(), ExecMode::kInference);
-  Executor train(tape.program(), ExecMode::kTraining);
+  Executor inf(prog, ExecMode::kInference);
+  Executor train(prog, ExecMode::kTraining);
   // Liveness planning must beat the one-buffer-per-node baseline by a wide
   // margin on a real model graph, in both dimensions.
-  EXPECT_LT(inf.workspace_elements(), tape.program().total_value_elements());
+  EXPECT_LT(inf.workspace_elements(), prog.total_value_elements());
   EXPECT_LT(2 * inf.workspace_elements(),
-            tape.program().total_value_elements());
+            prog.total_value_elements());
   EXPECT_LT(inf.workspace_buffers(), train.workspace_buffers());
 }
 
 TEST(ExecutorTest, TrainingModeKeepsEveryValueReadable) {
   // Training executors may not recycle: backward reads any forward value.
   Parameter w(Matrix::ones(2, 2));
-  Tape tape;
-  const TensorId x = tape.param(&w);
-  const TensorId a = tape.relu(x);
-  const TensorId b = tape.add_scalar(a, 2.0f);
-  const TensorId c = tape.mean_rows(b);
-  Executor exec(tape.program(), ExecMode::kTraining);
+  Program prog;
+  const TensorId x = prog.param(&w);
+  const TensorId a = prog.relu(x);
+  const TensorId b = prog.add_scalar(a, 2.0f);
+  const TensorId c = prog.mean_rows(b);
+  Executor exec(prog, ExecMode::kTraining);
   exec.forward();
   EXPECT_FLOAT_EQ(exec.value(a).at(0, 0), 1.0f);  // intermediate still live
   EXPECT_FLOAT_EQ(exec.value(b).at(1, 1), 3.0f);
@@ -191,19 +190,19 @@ TEST(ExecutorTest, TrainingModeKeepsEveryValueReadable) {
 
 TEST(ExecutorTest, InferenceBackwardThrows) {
   Parameter w(Matrix::ones(1, 1));
-  Tape tape;
-  const TensorId loss = tape.add_scalar(tape.param(&w), 2.0f);
-  Executor exec(tape.program(), ExecMode::kInference);
+  Program prog;
+  const TensorId loss = prog.add_scalar(prog.param(&w), 2.0f);
+  Executor exec(prog, ExecMode::kInference);
   exec.forward();
   EXPECT_THROW(exec.backward(loss), std::logic_error);
 }
 
 TEST(ExecutorTest, InferenceAllocatesNoGradientStorage) {
   Parameter w(Matrix::ones(1, 1));
-  Tape tape;
-  const TensorId x = tape.param(&w);
-  const TensorId y = tape.add_scalar(x, 2.0f);
-  Executor exec(tape.program(), ExecMode::kInference);
+  Program prog;
+  const TensorId x = prog.param(&w);
+  const TensorId y = prog.add_scalar(x, 2.0f);
+  Executor exec(prog, ExecMode::kInference);
   exec.forward();
   EXPECT_FALSE(exec.has_grad(y));
   EXPECT_THROW(exec.grad(y), std::logic_error);
@@ -211,11 +210,11 @@ TEST(ExecutorTest, InferenceAllocatesNoGradientStorage) {
 
 TEST(ExecutorTest, ConstantsNeverGetGradientStorage) {
   Parameter w(Matrix::ones(1, 1));
-  Tape tape;
-  const TensorId c = tape.constant(Matrix::ones(1, 1));
-  const TensorId x = tape.param(&w);
-  const TensorId loss = tape.hadamard(c, x);
-  Executor exec(tape.program(), ExecMode::kTraining);
+  Program prog;
+  const TensorId c = prog.constant(Matrix::ones(1, 1));
+  const TensorId x = prog.param(&w);
+  const TensorId loss = prog.hadamard(c, x);
+  Executor exec(prog, ExecMode::kTraining);
   exec.forward();
   exec.backward(loss);
   EXPECT_FALSE(exec.has_grad(c));
@@ -224,15 +223,42 @@ TEST(ExecutorTest, ConstantsNeverGetGradientStorage) {
   EXPECT_FLOAT_EQ(w.grad.at(0, 0), 1.0f);
 }
 
+TEST(ExecutorTest, NodesRecordedAfterPlanningAreNeitherRunNorRead) {
+  // An executor plans the instructions recorded before it was built. Growing
+  // the program afterwards must not run the new node (it owns no slot), and
+  // every accessor must refuse it; a new executor runs it.
+  for (const ExecMode mode : {ExecMode::kInference, ExecMode::kTraining}) {
+    Parameter w(Matrix(2, 2, 1.5f));
+    Program prog;
+    const TensorId planned = prog.relu(prog.param(&w));
+    Executor exec(prog, mode);
+    const TensorId late = prog.add_scalar(planned, 2.0f);
+    exec.forward();
+    EXPECT_FLOAT_EQ(exec.value(planned).at(1, 1), 1.5f);
+    EXPECT_THROW(exec.value(late), std::logic_error);
+    EXPECT_THROW(exec.has_grad(late), std::logic_error);
+    EXPECT_THROW(exec.grad(late), std::logic_error);
+    EXPECT_THROW(exec.backward(late), std::logic_error);
+    if (mode == ExecMode::kTraining) {
+      exec.backward(planned);  // the planned part still trains
+      EXPECT_FLOAT_EQ(w.grad.at(0, 1), 1.0f);
+    }
+
+    Executor fresh(prog, mode);
+    fresh.forward();
+    EXPECT_FLOAT_EQ(fresh.value(late).at(0, 0), 3.5f);
+  }
+}
+
 TEST(ExecutorTest, InferenceValueOfRecycledIntermediateThrows) {
   // In a long enough chain the planner recycles early buffers; reading one
   // back must be a diagnosed error, not stale data.
-  Tape tape;
-  TensorId t = tape.constant(Matrix::ones(4, 4));
-  const TensorId first_compute = tape.relu(t);
+  Program prog;
+  TensorId t = prog.constant(Matrix::ones(4, 4));
+  const TensorId first_compute = prog.relu(t);
   t = first_compute;
-  for (int i = 0; i < 4; ++i) t = tape.relu(tape.add_scalar(t, 1.5f));
-  Executor exec(tape.program(), ExecMode::kInference);
+  for (int i = 0; i < 4; ++i) t = prog.relu(prog.add_scalar(t, 1.5f));
+  Executor exec(prog, ExecMode::kInference);
   exec.forward();
   EXPECT_NO_THROW(exec.value(t));  // final output is always live
   EXPECT_THROW(exec.value(first_compute), std::logic_error);
@@ -254,100 +280,102 @@ void expect_shape_error(Fn&& fn, const std::string& needle) {
 }
 
 TEST(ProgramShapeTest, MatmulInnerDimensionMismatch) {
-  Tape tape;
-  const TensorId a = tape.constant(Matrix::ones(2, 3));
-  const TensorId b = tape.constant(Matrix::ones(2, 3));
-  expect_shape_error([&] { tape.matmul(a, b); }, "matmul");
+  Program prog;
+  const TensorId a = prog.constant(Matrix::ones(2, 3));
+  const TensorId b = prog.constant(Matrix::ones(2, 3));
+  expect_shape_error([&] { prog.matmul(a, b); }, "matmul");
 }
 
 TEST(ProgramShapeTest, MatmulAtBRowCountMismatch) {
-  Tape tape;
-  const TensorId a = tape.constant(Matrix::ones(4, 3));
-  const TensorId b = tape.constant(Matrix::ones(5, 3));
-  expect_shape_error([&] { tape.matmul_at_b(a, b); }, "matmul_at_b");
+  Program prog;
+  const TensorId a = prog.constant(Matrix::ones(4, 3));
+  const TensorId b = prog.constant(Matrix::ones(5, 3));
+  expect_shape_error([&] { prog.matmul_at_b(a, b); }, "matmul_at_b");
 }
 
 TEST(ProgramShapeTest, MeanRowsOfNoRowsRejected) {
-  Tape tape;
-  const TensorId a = tape.constant(Matrix(0, 3));
-  expect_shape_error([&] { tape.mean_rows(a); }, "mean_rows");
+  Program prog;
+  const TensorId a = prog.constant(Matrix(0, 3));
+  expect_shape_error([&] { prog.mean_rows(a); }, "mean_rows");
 }
 
 TEST(ProgramShapeTest, ElementwiseShapeMismatch) {
-  Tape tape;
-  const TensorId a = tape.constant(Matrix::ones(2, 3));
-  const TensorId b = tape.constant(Matrix::ones(3, 2));
-  expect_shape_error([&] { tape.add(a, b); }, "add");
-  expect_shape_error([&] { tape.sub(a, b); }, "sub");
-  expect_shape_error([&] { tape.hadamard(a, b); }, "hadamard");
+  Program prog;
+  const TensorId a = prog.constant(Matrix::ones(2, 3));
+  const TensorId b = prog.constant(Matrix::ones(3, 2));
+  expect_shape_error([&] { prog.add(a, b); }, "add");
+  expect_shape_error([&] { prog.sub(a, b); }, "sub");
+  expect_shape_error([&] { prog.hadamard(a, b); }, "hadamard");
 }
 
 TEST(ProgramShapeTest, SpmmColumnMismatch) {
   const SparseMatrix s =
       SparseMatrix::from_coo(2, 3, {0}, {1}, {1.0f});  // needs 3-row operand
-  Tape tape;
-  const TensorId x = tape.constant(Matrix::ones(4, 2));
-  expect_shape_error([&] { tape.spmm(&s, x); }, "spmm");
+  Program prog;
+  const TensorId x = prog.constant(Matrix::ones(4, 2));
+  expect_shape_error([&] { prog.spmm(&s, x); }, "spmm");
 }
 
 TEST(ProgramShapeTest, BiasRowMustBeSingleRow) {
-  Tape tape;
-  const TensorId x = tape.constant(Matrix::ones(4, 3));
-  const TensorId b = tape.constant(Matrix::ones(2, 3));
-  expect_shape_error([&] { tape.add_row_broadcast(x, b); },
+  Program prog;
+  const TensorId x = prog.constant(Matrix::ones(4, 3));
+  const TensorId b = prog.constant(Matrix::ones(2, 3));
+  expect_shape_error([&] { prog.add_row_broadcast(x, b); },
                      "add_row_broadcast");
 }
 
 TEST(ProgramShapeTest, SliceOutOfRange) {
-  Tape tape;
-  const TensorId a = tape.constant(Matrix::ones(2, 5));
-  expect_shape_error([&] { tape.slice_cols(a, 3, 4); }, "slice_cols");
+  Program prog;
+  const TensorId a = prog.constant(Matrix::ones(2, 5));
+  expect_shape_error([&] { prog.slice_cols(a, 3, 4); }, "slice_cols");
 }
 
 TEST(ProgramShapeTest, ConcatRowMismatch) {
-  Tape tape;
-  const TensorId a = tape.constant(Matrix::ones(2, 2));
-  const TensorId b = tape.constant(Matrix::ones(3, 2));
-  expect_shape_error([&] { tape.concat_cols(a, b); }, "concat_cols");
+  Program prog;
+  const TensorId a = prog.constant(Matrix::ones(2, 2));
+  const TensorId b = prog.constant(Matrix::ones(3, 2));
+  expect_shape_error([&] { prog.concat_cols(a, b); }, "concat_cols");
 }
 
 TEST(ProgramShapeTest, PermutationMustMatchRowsAndBeInRange) {
-  Tape tape;
-  const TensorId a = tape.constant(Matrix::ones(3, 2));
-  expect_shape_error([&] { tape.permute_rows(a, {0, 1}); }, "permute_rows");
-  expect_shape_error([&] { tape.permute_rows(a, {0, 1, 7}); },
+  Program prog;
+  const TensorId a = prog.constant(Matrix::ones(3, 2));
+  expect_shape_error([&] { prog.permute_rows(a, {0, 1}); }, "permute_rows");
+  expect_shape_error([&] { prog.permute_rows(a, {0, 1, 7}); },
                      "permute_rows");
 }
 
 TEST(ProgramShapeTest, BceRequiresScalarLogit) {
-  Tape tape;
-  const TensorId a = tape.constant(Matrix::ones(2, 1));
-  expect_shape_error([&] { tape.bce_with_logits(a, 1.0f); },
+  Program prog;
+  const TensorId a = prog.constant(Matrix::ones(2, 1));
+  expect_shape_error([&] { prog.bce_with_logits(a, 1.0f); },
                      "bce_with_logits");
 }
 
 TEST(ProgramShapeTest, RowMulRequiresColumnVector) {
-  Tape tape;
-  const TensorId x = tape.constant(Matrix::ones(3, 2));
-  const TensorId s = tape.constant(Matrix::ones(3, 2));
-  expect_shape_error([&] { tape.row_mul(x, s); }, "row_mul");
+  Program prog;
+  const TensorId x = prog.constant(Matrix::ones(3, 2));
+  const TensorId s = prog.constant(Matrix::ones(3, 2));
+  expect_shape_error([&] { prog.row_mul(x, s); }, "row_mul");
 }
 
 TEST(ProgramShapeTest, InvalidOperandHandleIsDiagnosed) {
-  Tape tape;
-  expect_shape_error([&] { tape.relu(TensorId{5}); }, "TensorId 5");
-  expect_shape_error([&] { tape.relu(TensorId{-1}); }, "TensorId");
+  Program prog;
+  expect_shape_error([&] { prog.relu(TensorId{5}); }, "TensorId 5");
+  expect_shape_error([&] { prog.relu(TensorId{-1}); }, "TensorId");
 }
 
 TEST(ProgramShapeTest, ValidRecordingsStillSucceed) {
   // The validation layer must not reject well-formed graphs.
-  Tape tape;
-  const TensorId a = tape.constant(Matrix::ones(2, 3));
-  const TensorId b = tape.constant(Matrix::ones(3, 2));
-  const TensorId y = tape.matmul(a, b);
-  EXPECT_EQ(tape.rows(y), 2u);
-  EXPECT_EQ(tape.cols(y), 2u);
-  EXPECT_FLOAT_EQ(tape.value(y).at(0, 0), 3.0f);
+  Program prog;
+  const TensorId a = prog.constant(Matrix::ones(2, 3));
+  const TensorId b = prog.constant(Matrix::ones(3, 2));
+  const TensorId y = prog.matmul(a, b);
+  EXPECT_EQ(prog.rows(y), 2u);
+  EXPECT_EQ(prog.cols(y), 2u);
+  Executor exec(prog, ExecMode::kInference);
+  exec.forward();
+  EXPECT_FLOAT_EQ(exec.value(y).at(0, 0), 3.0f);
 }
 
 }  // namespace

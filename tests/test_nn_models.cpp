@@ -10,6 +10,8 @@
 namespace ns::nn {
 namespace {
 
+using ns::testing::forward_value;
+
 CnfFormula tiny_formula() {
   // c1 = ~x0 ∨ x1 ; c2 = ~x1 ∨ x2  (the Fig. 6 example)
   CnfFormula f(3);
@@ -64,14 +66,14 @@ TEST_P(ModelForwardTest, LogitIsFiniteScalarAndDeterministic) {
   const GraphBatch g =
       GraphBatch::build(gen::random_ksat(12, 40, 3, 77));
 
-  Tape ta, tb;
-  const TensorId la = model_a->forward_logits(ta, g);
-  const TensorId lb = model_b->forward_logits(tb, g);
-  ASSERT_EQ(ta.value(la).rows(), 1u);
-  ASSERT_EQ(ta.value(la).cols(), 1u);
-  EXPECT_TRUE(std::isfinite(ta.value(la).at(0, 0)));
+  Program pa, pb;
+  const Matrix la = forward_value(pa, model_a->forward_logits(pa, g));
+  const Matrix lb = forward_value(pb, model_b->forward_logits(pb, g));
+  ASSERT_EQ(la.rows(), 1u);
+  ASSERT_EQ(la.cols(), 1u);
+  EXPECT_TRUE(std::isfinite(la.at(0, 0)));
   // Same seed, same instance → identical output.
-  EXPECT_FLOAT_EQ(ta.value(la).at(0, 0), tb.value(lb).at(0, 0));
+  EXPECT_FLOAT_EQ(la.at(0, 0), lb.at(0, 0));
 
   const float p = model_a->predict_probability(g);
   EXPECT_GT(p, 0.0f);
@@ -113,11 +115,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(LinearAttentionTest, OutputShapeMatchesInput) {
   std::mt19937_64 rng(3);
   LinearAttention attn(4, rng);
-  Tape tape;
-  const TensorId z = tape.constant(Matrix::xavier(7, 4, rng));
-  const TensorId out = attn.forward(tape, z);
-  EXPECT_EQ(tape.value(out).rows(), 7u);
-  EXPECT_EQ(tape.value(out).cols(), 4u);
+  Program prog;
+  const TensorId z = prog.constant(Matrix::xavier(7, 4, rng));
+  const Matrix out = forward_value(prog, attn.forward(prog, z));
+  EXPECT_EQ(out.rows(), 7u);
+  EXPECT_EQ(out.cols(), 4u);
 }
 
 TEST(LinearAttentionTest, GradCheck) {
@@ -128,7 +130,7 @@ TEST(LinearAttentionTest, GradCheck) {
   attn.collect_parameters(params);
   ns::testing::expect_gradients_match(
       params,
-      [&](Tape& t) {
+      [&](Program& t) {
         const TensorId out = attn.forward(t, t.param(&z));
         // weighted scalarization
         Matrix w(5, 3);
@@ -150,13 +152,15 @@ TEST(LinearAttentionTest, AttentionMixesDistantNodes) {
   Matrix z1 = z0;
   z1.at(5, 0) += 1.0f;  // perturb the last node only
 
-  Tape t0, t1;
-  const TensorId o0 = attn.forward(t0, t0.constant(z0));
-  const TensorId o1 = attn.forward(t1, t1.constant(z1));
+  Program prog;
+  const TensorId o0 = attn.forward(prog, prog.constant(z0));
+  const TensorId o1 = attn.forward(prog, prog.constant(z1));
+  const Matrix v0 = forward_value(prog, o0);
+  const Matrix v1 = forward_value(prog, o1);
   // Row 0's output must change even though only row 5's input changed.
   float diff = 0.0f;
   for (std::size_t c = 0; c < 3; ++c) {
-    diff += std::abs(t0.value(o0).at(0, c) - t1.value(o1).at(0, c));
+    diff += std::abs(v0.at(0, c) - v1.at(0, c));
   }
   EXPECT_GT(diff, 1e-7f);
 }
@@ -171,7 +175,7 @@ TEST(MpnnLayerTest, GradCheckOnTinyGraph) {
   layer.collect_parameters(params);
   ns::testing::expect_gradients_match(
       params,
-      [&](Tape& t) {
+      [&](Program& t) {
         auto [hv, hc] = layer.forward(t, g.vc, t.param(&xv), t.param(&xc));
         const TensorId cat = t.concat_cols(t.mean_rows(hv), t.mean_rows(hc));
         return t.matmul(cat, t.constant(Matrix::ones(6, 1)));
@@ -189,7 +193,7 @@ TEST(NeuroSelectModelTest, FullModelGradCheck) {
   const GraphBatch g = GraphBatch::build(tiny_formula());
   ns::testing::expect_gradients_match(
       model.parameters(),
-      [&](Tape& t) {
+      [&](Program& t) {
         return t.bce_with_logits(model.forward_logits(t, g), 1.0f);
       },
       5e-3f, 8e-2f);
@@ -231,11 +235,13 @@ TEST(TrainabilityTest, NeuroSelectOverfitsTinyDataset) {
   for (int epoch = 0; epoch < 120; ++epoch) {
     float loss_sum = 0.0f;
     for (const Sample& s : samples) {
-      Tape tape;
-      const TensorId loss = tape.bce_with_logits(
-          model.forward_logits(tape, *s.g), s.label);
-      loss_sum += tape.value(loss).at(0, 0);
-      tape.backward(loss);
+      Program prog;
+      const TensorId loss = prog.bce_with_logits(
+          model.forward_logits(prog, *s.g), s.label);
+      Executor exec(prog, ExecMode::kTraining);
+      exec.forward();
+      loss_sum += exec.value(loss).at(0, 0);
+      exec.backward(loss);
       opt.step();
     }
     if (epoch == 0) first_loss = loss_sum;

@@ -3,15 +3,16 @@
 #include <random>
 
 #include "gradcheck.hpp"
+#include "nn/executor.hpp"
 #include "nn/layers.hpp"
 #include "nn/matrix.hpp"
 #include "nn/sparse.hpp"
-#include "nn/tape.hpp"
 
 namespace ns::nn {
 namespace {
 
 using ns::testing::expect_gradients_match;
+using ns::testing::forward_value;
 
 Matrix filled(std::size_t r, std::size_t c, float base, float step) {
   Matrix m(r, c);
@@ -22,16 +23,15 @@ Matrix filled(std::size_t r, std::size_t c, float base, float step) {
 }
 
 /// Distinct-weight scalarization so gradcheck catches index/transpose bugs.
-TensorId weighted_scalar(Tape& tape, TensorId x) {
-  const Matrix& v = tape.value(x);
-  Matrix w(v.rows(), v.cols());
+TensorId weighted_scalar(Program& prog, TensorId x) {
+  Matrix w(prog.rows(x), prog.cols(x));
   for (std::size_t i = 0; i < w.size(); ++i) {
     w.data()[i] = 0.05f * static_cast<float>(i + 1);
   }
-  const TensorId weighted = tape.hadamard(x, tape.constant(std::move(w)));
-  const TensorId pooled = tape.mean_rows(weighted);  // 1×c
-  const TensorId ones = tape.constant(Matrix::ones(v.cols(), 1));
-  return tape.matmul(pooled, ones);  // 1×1
+  const TensorId weighted = prog.hadamard(x, prog.constant(std::move(w)));
+  const TensorId pooled = prog.mean_rows(weighted);  // 1×c
+  const TensorId ones = prog.constant(Matrix::ones(prog.cols(x), 1));
+  return prog.matmul(pooled, ones);  // 1×1
 }
 
 // --- Matrix kernels ----------------------------------------------------------
@@ -129,7 +129,7 @@ TEST(SparseTest, DuplicateEntriesAreKeptAdditive) {
 TEST(GradCheckTest, Matmul) {
   Parameter a(filled(3, 4, -0.3f, 0.11f));
   Parameter b(filled(4, 2, 0.2f, -0.07f));
-  expect_gradients_match({&a, &b}, [&](Tape& t) {
+  expect_gradients_match({&a, &b}, [&](Program& t) {
     return weighted_scalar(t, t.matmul(t.param(&a), t.param(&b)));
   });
 }
@@ -137,7 +137,7 @@ TEST(GradCheckTest, Matmul) {
 TEST(GradCheckTest, MatmulAtB) {
   Parameter a(filled(4, 3, -0.2f, 0.09f));
   Parameter b(filled(4, 2, 0.3f, -0.05f));
-  expect_gradients_match({&a, &b}, [&](Tape& t) {
+  expect_gradients_match({&a, &b}, [&](Program& t) {
     return weighted_scalar(t, t.matmul_at_b(t.param(&a), t.param(&b)));
   });
 }
@@ -145,7 +145,7 @@ TEST(GradCheckTest, MatmulAtB) {
 TEST(GradCheckTest, AddSubHadamard) {
   Parameter a(filled(2, 3, 0.4f, 0.13f));
   Parameter b(filled(2, 3, -0.2f, 0.08f));
-  expect_gradients_match({&a, &b}, [&](Tape& t) {
+  expect_gradients_match({&a, &b}, [&](Program& t) {
     const TensorId sum = t.add(t.param(&a), t.param(&b));
     const TensorId diff = t.sub(sum, t.param(&b));
     return weighted_scalar(t, t.hadamard(diff, t.param(&b)));
@@ -154,7 +154,7 @@ TEST(GradCheckTest, AddSubHadamard) {
 
 TEST(GradCheckTest, ScaleAddScalarReciprocal) {
   Parameter a(filled(2, 2, 1.0f, 0.3f));  // positive, away from 0
-  expect_gradients_match({&a}, [&](Tape& t) {
+  expect_gradients_match({&a}, [&](Program& t) {
     const TensorId scaled =
         t.scalar_mul(t.param(&a), t.constant(Matrix(1, 1, 0.7f)));
     return weighted_scalar(t, t.reciprocal(t.add_scalar(scaled, 1.5f)));
@@ -163,7 +163,7 @@ TEST(GradCheckTest, ScaleAddScalarReciprocal) {
 
 TEST(GradCheckTest, Activations) {
   Parameter a(filled(2, 3, -0.8f, 0.31f));
-  expect_gradients_match({&a}, [&](Tape& t) {
+  expect_gradients_match({&a}, [&](Program& t) {
     const TensorId s = t.sigmoid(t.param(&a));
     const TensorId h = t.tanh_fn(s);
     return weighted_scalar(t, h);
@@ -172,7 +172,7 @@ TEST(GradCheckTest, Activations) {
 
 TEST(GradCheckTest, ReluAwayFromKink) {
   Parameter a(filled(2, 3, -0.83f, 0.31f));  // entries away from 0
-  expect_gradients_match({&a}, [&](Tape& t) {
+  expect_gradients_match({&a}, [&](Program& t) {
     return weighted_scalar(t, t.relu(t.param(&a)));
   });
 }
@@ -181,14 +181,14 @@ TEST(GradCheckTest, Spmm) {
   const SparseMatrix s = SparseMatrix::from_coo(
       3, 4, {0, 0, 1, 2, 2}, {0, 3, 1, 2, 0}, {1.0f, -1.0f, 0.5f, 2.0f, 1.0f});
   Parameter x(filled(4, 2, -0.4f, 0.17f));
-  expect_gradients_match({&x}, [&](Tape& t) {
+  expect_gradients_match({&x}, [&](Program& t) {
     return weighted_scalar(t, t.spmm(&s, t.param(&x)));
   });
 }
 
 TEST(GradCheckTest, FrobeniusNormalize) {
   Parameter a(filled(3, 2, 0.5f, 0.21f));
-  expect_gradients_match({&a}, [&](Tape& t) {
+  expect_gradients_match({&a}, [&](Program& t) {
     return weighted_scalar(t, t.frobenius_normalize(t.param(&a)));
   });
 }
@@ -196,7 +196,7 @@ TEST(GradCheckTest, FrobeniusNormalize) {
 TEST(GradCheckTest, Broadcasts) {
   Parameter row(filled(1, 3, 0.2f, 0.1f));
   Parameter x(filled(4, 3, -0.1f, 0.06f));
-  expect_gradients_match({&row, &x}, [&](Tape& t) {
+  expect_gradients_match({&row, &x}, [&](Program& t) {
     const TensorId bc = t.broadcast_row(t.param(&row), 4);
     return weighted_scalar(
         t, t.add_row_broadcast(t.add(t.param(&x), bc), t.param(&row)));
@@ -206,7 +206,7 @@ TEST(GradCheckTest, Broadcasts) {
 TEST(GradCheckTest, ScalarMul) {
   Parameter x(filled(3, 2, 0.2f, 0.11f));
   Parameter s(filled(1, 1, 0.6f, 0.0f));
-  expect_gradients_match({&x, &s}, [&](Tape& t) {
+  expect_gradients_match({&x, &s}, [&](Program& t) {
     return weighted_scalar(t, t.scalar_mul(t.param(&x), t.param(&s)));
   });
 }
@@ -215,7 +215,7 @@ TEST(GradCheckTest, ScalarMulFromZeroGate) {
   // The ReZero gate starts at exactly 0; its gradient must still flow.
   Parameter x(filled(2, 2, 0.3f, 0.17f));
   Parameter s(Matrix::zeros(1, 1));
-  expect_gradients_match({&x, &s}, [&](Tape& t) {
+  expect_gradients_match({&x, &s}, [&](Program& t) {
     const TensorId gated = t.scalar_mul(t.param(&x), t.param(&s));
     return weighted_scalar(t, t.add(gated, t.param(&x)));
   });
@@ -224,7 +224,7 @@ TEST(GradCheckTest, ScalarMulFromZeroGate) {
 TEST(GradCheckTest, RowMul) {
   Parameter x(filled(3, 2, 0.3f, 0.12f));
   Parameter s(filled(3, 1, 0.5f, 0.25f));
-  expect_gradients_match({&x, &s}, [&](Tape& t) {
+  expect_gradients_match({&x, &s}, [&](Program& t) {
     return weighted_scalar(t, t.row_mul(t.param(&x), t.param(&s)));
   });
 }
@@ -232,7 +232,7 @@ TEST(GradCheckTest, RowMul) {
 TEST(GradCheckTest, ConcatSlicePermute) {
   Parameter a(filled(3, 2, 0.1f, 0.14f));
   Parameter b(filled(3, 2, -0.3f, 0.09f));
-  expect_gradients_match({&a, &b}, [&](Tape& t) {
+  expect_gradients_match({&a, &b}, [&](Program& t) {
     const TensorId cat = t.concat_cols(t.param(&a), t.param(&b));
     const TensorId sl = t.slice_cols(cat, 1, 2);
     return weighted_scalar(t, t.permute_rows(sl, {2, 0, 1}));
@@ -242,7 +242,7 @@ TEST(GradCheckTest, ConcatSlicePermute) {
 TEST(GradCheckTest, BceWithLogits) {
   for (float target : {0.0f, 1.0f}) {
     Parameter w(filled(1, 1, 0.37f, 0.0f));
-    expect_gradients_match({&w}, [&](Tape& t) {
+    expect_gradients_match({&w}, [&](Program& t) {
       return t.bce_with_logits(t.param(&w), target);
     });
   }
@@ -256,7 +256,7 @@ TEST(GradCheckTest, LinearAndMlpComposite) {
   std::vector<Parameter*> params = {&x};
   lin.collect_parameters(params);
   mlp.collect_parameters(params);
-  expect_gradients_match(params, [&](Tape& t) {
+  expect_gradients_match(params, [&](Program& t) {
     const TensorId h = t.relu(lin.forward(t, t.param(&x)));
     return weighted_scalar(t, mlp.forward(t, h));
   });
@@ -272,7 +272,7 @@ TEST(GradCheckTest, LstmCellComposite) {
   cell.collect_parameters(params);
   expect_gradients_match(
       params,
-      [&](Tape& t) {
+      [&](Program& t) {
         LstmCell::State st{t.param(&h0), t.param(&c0)};
         st = cell.forward(t, t.param(&x), st);
         st = cell.forward(t, t.param(&x), st);  // two steps, shared weights
@@ -284,22 +284,22 @@ TEST(GradCheckTest, LstmCellComposite) {
 // --- BCE loss values ---------------------------------------------------------------
 
 TEST(TapeTest, BceMatchesClosedForm) {
-  Tape tape;
+  Program prog;
   Matrix logit(1, 1);
   logit.at(0, 0) = 0.0f;
-  const TensorId l = tape.constant(std::move(logit));
-  const TensorId loss = tape.bce_with_logits(l, 1.0f);
-  EXPECT_NEAR(tape.value(loss).at(0, 0), std::log(2.0f), 1e-6f);
+  const TensorId l = prog.constant(std::move(logit));
+  const TensorId loss = prog.bce_with_logits(l, 1.0f);
+  EXPECT_NEAR(forward_value(prog, loss).at(0, 0), std::log(2.0f), 1e-6f);
 }
 
 TEST(TapeTest, BceIsStableForExtremeLogits) {
   for (float x : {-50.0f, 50.0f}) {
-    Tape tape;
+    Program prog;
     Matrix logit(1, 1);
     logit.at(0, 0) = x;
     const TensorId loss =
-        tape.bce_with_logits(tape.constant(std::move(logit)), 1.0f);
-    const float v = tape.value(loss).at(0, 0);
+        prog.bce_with_logits(prog.constant(std::move(logit)), 1.0f);
+    const float v = forward_value(prog, loss).at(0, 0);
     EXPECT_TRUE(std::isfinite(v));
     if (x > 0) EXPECT_NEAR(v, 0.0f, 1e-6f);
     if (x < 0) EXPECT_NEAR(v, 50.0f, 1e-4f);
@@ -312,12 +312,13 @@ TEST(AdamTest, ConvergesOnQuadratic) {
   // Minimize (w - 3)^2 via autograd: loss = (w-3)*(w-3).
   Parameter w(Matrix::zeros(1, 1));
   Adam opt({&w}, /*lr=*/0.1f);
+  Program prog;
+  const TensorId diff = prog.add_scalar(prog.param(&w), -3.0f);
+  const TensorId loss = prog.hadamard(diff, diff);
+  Executor exec(prog, ExecMode::kTraining);
   for (int step = 0; step < 500; ++step) {
-    Tape tape;
-    const TensorId wi = tape.param(&w);
-    const TensorId diff = tape.add_scalar(wi, -3.0f);
-    const TensorId loss = tape.hadamard(diff, diff);
-    tape.backward(loss);
+    exec.forward();  // reads the value the last step wrote
+    exec.backward(loss);
     opt.step();
   }
   EXPECT_NEAR(w.value.at(0, 0), 3.0f, 0.05f);

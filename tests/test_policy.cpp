@@ -119,7 +119,7 @@ TEST(DeletionPolicyTest, AlphaDefaultsToFourFifths) {
 TEST(DeletionPolicyTest, KindFromNameRoundTrips) {
   EXPECT_EQ(policy_kind_from_name("default"), PolicyKind::kDefault);
   EXPECT_EQ(policy_kind_from_name("frequency"), PolicyKind::kFrequency);
-  EXPECT_EQ(policy_kind_from_name("unknown"), PolicyKind::kDefault);
+  EXPECT_EQ(policy_kind_from_name("unknown"), std::nullopt);
 }
 
 TEST(DeletionPolicyTest, RetentionScoreDelegatesToPacking) {

@@ -25,7 +25,9 @@
 ///                                  portfolio over the base options) with
 ///                                  deterministic first-winner cancellation;
 ///                                  --budget-ticks becomes the per-engine
-///                                  race cap. Incompatible with --proof
+///                                  race cap. Incompatible with --proof,
+///                                  --budget-conflicts,
+///                                  --budget-propagations and --progress
 ///     --portfolio-select <mode>    classifier | fixed | single-best: race
 ///                                  the classifier-ranked subset, the whole
 ///                                  portfolio, or only config 0
@@ -50,16 +52,21 @@
 /// "s UNSATISFIABLE" / "s UNKNOWN" status line, "v" model lines on SAT,
 /// and "c" comment lines with statistics. On UNKNOWN the JSON stats carry
 /// a "why" field naming the exhausted budget. Exit code: 10 SAT, 20 UNSAT,
-/// 0 unknown, 1 usage/parse error.
+/// 0 unknown, 1 usage/parse error. Numeric flag values must be a whole
+/// unsigned integer (<n>, <k>) or a finite non-negative number (<f>).
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "audit/race_audit.hpp"
@@ -88,6 +95,22 @@ void usage(const char* prog) {
                "[--stats-json file] [--audit] [--progress] "
                "[--quiet] <input.cnf>\n",
                prog);
+}
+
+/// The one strict parser for numeric flag values: the whole token must be
+/// an unsigned integer (integral T) or a finite non-negative number
+/// (floating-point T). Signs on integers, trailing text, overflow, inf and
+/// nan all yield nullopt.
+template <typename T>
+std::optional<T> parse_number(const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value) || value < 0) return std::nullopt;
+  }
+  return value;
 }
 
 /// Engine-hook consumer: live search progress as "c" comment lines.
@@ -241,10 +264,31 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flag value: the whole next token, or a diagnostic and exit 1.
+    const auto number = [&](auto& out) {
+      using T = std::remove_reference_t<decltype(out)>;
+      const char* text = next();
+      const std::optional<T> value = parse_number<T>(text);
+      if (!value) {
+        std::fprintf(stderr, "c %s expects %s, got '%s'\n", arg.c_str(),
+                     std::is_floating_point_v<T>
+                         ? "a finite non-negative number"
+                         : "an unsigned integer",
+                     text);
+        std::exit(1);
+      }
+      out = *value;
+    };
     if (arg == "--policy") {
-      options.deletion_policy = ns::policy::policy_kind_from_name(next());
+      const std::string name = next();
+      const auto kind = ns::policy::policy_kind_from_name(name);
+      if (!kind) {
+        std::fprintf(stderr, "unknown --policy name: %s\n", name.c_str());
+        return 1;
+      }
+      options.deletion_policy = *kind;
     } else if (arg == "--alpha") {
-      options.frequency_alpha = std::atof(next());
+      number(options.frequency_alpha);
     } else if (arg == "--proof") {
       proof_path = next();
     } else if (arg == "--assume") {
@@ -265,17 +309,17 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (arg == "--budget-conflicts") {
-      budget.conflicts = std::strtoull(next(), nullptr, 10);
+      number(budget.conflicts);
     } else if (arg == "--budget-propagations") {
-      budget.propagations = std::strtoull(next(), nullptr, 10);
+      number(budget.propagations);
     } else if (arg == "--budget-ticks") {
-      budget.ticks = std::strtoull(next(), nullptr, 10);
+      number(budget.ticks);
     } else if (arg == "--gc-frac") {
-      options.gc_frac = std::atof(next());
+      number(options.gc_frac);
     } else if (arg == "--max-conflicts") {
-      options.max_conflicts = std::strtoull(next(), nullptr, 10);
+      number(options.max_conflicts);
     } else if (arg == "--max-propagations") {
-      options.max_propagations = std::strtoull(next(), nullptr, 10);
+      number(options.max_propagations);
     } else if (arg == "--preprocess") {
       options.preprocess = true;
     } else if (arg == "--vmtf") {
@@ -283,7 +327,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--luby") {
       options.restart_mode = ns::solver::RestartMode::kLuby;
     } else if (arg == "--portfolio") {
-      portfolio_k = std::strtoull(next(), nullptr, 10);
+      number(portfolio_k);
     } else if (arg == "--portfolio-select") {
       const std::string mode = next();
       if (mode == "classifier") {
@@ -298,7 +342,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (arg == "--portfolio-slice") {
-      portfolio_slice = std::strtoull(next(), nullptr, 10);
+      number(portfolio_slice);
     } else if (arg == "--model") {
       model_path = next();
     } else if (arg == "--stats-json") {
@@ -334,11 +378,27 @@ int main(int argc, char** argv) {
   std::printf("c %s\n", parsed.formula.summary().c_str());
 
   if (portfolio_k > 0) {
-    if (!proof_path.empty()) {
-      std::fprintf(stderr,
-                   "c --proof is incompatible with --portfolio (only the "
-                   "single-engine path traces DRAT)\n");
-      return 1;
+    // The racer runs every lane on its own tick slices with no listener, so
+    // flags it would drop are refused instead of ignored.
+    const struct {
+      bool given;
+      const char* flag;
+      const char* why;
+    } refused[] = {
+        {!proof_path.empty(), "--proof",
+         "only the single-engine path traces DRAT"},
+        {budget.conflicts != 0, "--budget-conflicts",
+         "racing budgets each engine in ticks only"},
+        {budget.propagations != 0, "--budget-propagations",
+         "racing budgets each engine in ticks only"},
+        {progress, "--progress", "no engine reports progress while racing"},
+    };
+    for (const auto& r : refused) {
+      if (r.given) {
+        std::fprintf(stderr, "c %s is incompatible with --portfolio (%s)\n",
+                     r.flag, r.why);
+        return 1;
+      }
     }
     for (const Lit a : assumptions) {
       if (a.var() >= parsed.formula.num_vars()) {
