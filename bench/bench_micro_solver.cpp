@@ -10,8 +10,8 @@
 /// engine-owned buffers) must perform zero heap allocations — the dynamic
 /// cross-check of the [allocation] closure ns::hotlint gates statically.
 /// The count lands in BENCH_solver_hot_path.json as
-/// `incremental/stream100_steady_allocs` and, at NS_CHECK=0, a nonzero
-/// count fails the process.
+/// `incremental/stream100_steady_allocs`, and a nonzero count fails the
+/// process.
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +21,6 @@
 #include <new>
 #include <string>
 
-#include "audit/audit.hpp"
 #include "bench_common.hpp"
 #include "cnf/dimacs.hpp"
 #include "gen/generators.hpp"
@@ -273,17 +272,11 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (steady_allocs != 0) {
-    if constexpr (ns::audit::kCheckLevel == 0) {
-      std::fprintf(stderr,
-                   "FAIL: warm incremental stream allocated %zu time(s) in "
-                   "steady state\n",
-                   steady_allocs);
-      return 1;
-    }
     std::fprintf(stderr,
-                 "note: %zu steady-state allocation(s) tolerated at "
-                 "NS_CHECK=%d (audit checkpoints allocate)\n",
-                 steady_allocs, ns::audit::kCheckLevel);
+                 "FAIL: warm incremental stream allocated %zu time(s) in "
+                 "steady state\n",
+                 steady_allocs);
+    return 1;
   }
   return 0;
 }

@@ -1,39 +1,21 @@
 #pragma once
 /// \file audit.hpp
 /// Shared vocabulary of the `ns::audit` analysis layer: the violation
-/// record every checker emits, the error type `enforce` raises, and the
-/// compile-time audit level.
+/// record every checker emits and the error type `enforce` raises.
 ///
 /// Checkers never throw on their own — they return the full list of
 /// violations they found so fault-injection tests can assert on precise
 /// rule names and messages. `enforce` is the one throwing choke point the
-/// engine call sites use.
-///
-/// The audit level is the CMake cache variable `NS_CHECK` (0/1/2),
-/// surfaced here as `kCheckLevel`:
-///   0  every gated call site compiles to nothing (benchmarked parity with
-///      the unchecked engine — see BENCH_solver_hot_path.json),
-///   1  structural audits at subsystem boundaries (load, restart, reduce,
-///      solve exit),
-///   2  additionally audits inside propagate/analyze through the
-///      EngineListener hook points (per-assignment reason checks,
-///      per-conflict learned-clause checks).
-/// The checker functions themselves are always compiled: release binaries
-/// can still run level-1 audits on demand (`neuroselect_solve --audit`).
+/// auditor and the other call sites use. Every build compiles the same
+/// checks; what runs is decided by who calls them (the engine auditor is a
+/// listener, see solver_audit.hpp), never by a build flag.
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#ifndef NS_CHECK
-#define NS_CHECK 0
-#endif
-
 namespace ns::audit {
-
-/// Compile-time audit level, from the NS_CHECK CMake option.
-inline constexpr int kCheckLevel = NS_CHECK;
 
 /// One broken invariant. `rule` is a stable dotted identifier
 /// ("ir.def_before_use", "watch.twice", ...) tests key on; `message` is the

@@ -31,50 +31,6 @@ void add(std::vector<Violation>& out, const char* rule, std::int64_t idx,
   out.push_back(Violation{rule, std::move(message), idx});
 }
 
-/// Arena walk shared by several checkers: the set of valid clause starts
-/// (garbage included) plus a walk-validity flag. A broken stride makes
-/// every downstream ref check meaningless, so callers bail out on !ok.
-struct ArenaIndex {
-  std::unordered_set<ClauseRef> starts;
-  bool ok = true;
-};
-
-ArenaIndex index_arena(const ClauseDb& db, std::vector<Violation>& out) {
-  ArenaIndex idx;
-  // Stride manually instead of via for_each_all: a corrupted size/extent
-  // must become a db.walk violation, not an out-of-range read.
-  std::size_t off = 0;
-  const std::size_t end = db.arena_words();
-  while (off < end) {
-    if (off + ClauseDb::kHeaderWords > end) {
-      add(out, "db.walk", static_cast<std::int64_t>(off),
-          "clause header at arena offset " + std::to_string(off) +
-              " runs past the arena end (" + std::to_string(end) + " words)");
-      idx.ok = false;
-      return idx;
-    }
-    const ConstClauseView c = db.view(static_cast<ClauseRef>(off));
-    if (c.size() > c.extent()) {
-      add(out, "db.walk", static_cast<std::int64_t>(off),
-          "clause at offset " + std::to_string(off) + " has size " +
-              std::to_string(c.size()) + " > extent " +
-              std::to_string(c.extent()));
-      idx.ok = false;
-      return idx;
-    }
-    if (off + ClauseDb::kHeaderWords + c.extent() > end) {
-      add(out, "db.walk", static_cast<std::int64_t>(off),
-          "clause at offset " + std::to_string(off) + " (extent " +
-              std::to_string(c.extent()) + ") runs past the arena end");
-      idx.ok = false;
-      return idx;
-    }
-    idx.starts.insert(static_cast<ClauseRef>(off));
-    off += ClauseDb::kHeaderWords + c.extent();
-  }
-  return idx;
-}
-
 std::string lit_str(Lit l) { return l.to_string(); }
 
 const char* lbool_str(LBool b) {
@@ -97,7 +53,7 @@ void check_reason_of(const SearchContext& ctx, const ArenaIndex& idx, Lit l,
   const Var v = l.var();
   const ClauseRef r = ctx.trail.reason(v);
   if (r == kInvalidClause) return;
-  if (idx.starts.count(r) == 0) {
+  if (!idx.contains(r)) {
     add(out, "trail.reason", static_cast<std::int64_t>(v),
         "reason of " + lit_str(l) + " (ref " + std::to_string(r) +
             ") is not a clause in the arena");
@@ -151,6 +107,40 @@ void check_reason_of(const SearchContext& ctx, const ArenaIndex& idx, Lit l,
 
 }  // namespace
 
+bool ArenaIndex::extend(const ClauseDb& db, std::vector<Violation>& out) {
+  // Stride manually instead of via for_each_all: a corrupted size/extent
+  // must become a db.walk violation, not an out-of-range read.
+  const std::size_t end = db.arena_words();
+  if (end < walked_) clear();  // the engine reloaded: a new arena
+  start_.resize(end);
+  while (walked_ < end) {
+    const std::size_t off = walked_;
+    if (off + ClauseDb::kHeaderWords > end) {
+      add(out, "db.walk", static_cast<std::int64_t>(off),
+          "clause header at arena offset " + std::to_string(off) +
+              " runs past the arena end (" + std::to_string(end) + " words)");
+      return false;
+    }
+    const ConstClauseView c = db.view(static_cast<ClauseRef>(off));
+    if (c.size() > c.extent()) {
+      add(out, "db.walk", static_cast<std::int64_t>(off),
+          "clause at offset " + std::to_string(off) + " has size " +
+              std::to_string(c.size()) + " > extent " +
+              std::to_string(c.extent()));
+      return false;
+    }
+    if (off + ClauseDb::kHeaderWords + c.extent() > end) {
+      add(out, "db.walk", static_cast<std::int64_t>(off),
+          "clause at offset " + std::to_string(off) + " (extent " +
+              std::to_string(c.extent()) + ") runs past the arena end");
+      return false;
+    }
+    start_[off] = true;
+    walked_ = off + ClauseDb::kHeaderWords + c.extent();
+  }
+  return true;
+}
+
 std::vector<Violation> check_trail(const SearchContext& ctx) {
   std::vector<Violation> out;
   const Trail& trail = ctx.trail;
@@ -178,7 +168,8 @@ std::vector<Violation> check_trail(const SearchContext& ctx) {
     prev = begin;
   }
 
-  const ArenaIndex idx = index_arena(ctx.db, out);
+  ArenaIndex idx;
+  const bool arena_ok = idx.extend(ctx.db, out);
 
   // Walk the trail once: values, per-variable levels against the frame the
   // index falls in, uniqueness, reasons, and decision markers.
@@ -219,7 +210,7 @@ std::vector<Violation> check_trail(const SearchContext& ctx) {
               " but carries reason ref " + std::to_string(trail.reason(v)) +
               " — decisions have none");
     }
-    if (idx.ok) check_reason_of(ctx, idx, l, out);
+    if (arena_ok) check_reason_of(ctx, idx, l, out);
   }
 
   // Values are stored per literal code, so each variable owns two slots:
@@ -247,8 +238,7 @@ std::vector<Violation> check_trail(const SearchContext& ctx) {
 std::vector<Violation> check_clause_db(const SearchContext& ctx) {
   std::vector<Violation> out;
   const ClauseDb& db = ctx.db;
-  const ArenaIndex idx = index_arena(db, out);
-  if (!idx.ok) return out;
+  if (!ArenaIndex().extend(db, out)) return out;
 
   std::size_t live = 0, live_learned = 0, garbage_words = 0;
   std::unordered_set<ClauseRef> live_learned_refs;
@@ -313,8 +303,8 @@ std::vector<Violation> check_gc_forwarding(const ClauseDb& db) {
         "no collection has run — the forwarding table is empty");
     return out;
   }
-  const ArenaIndex idx = index_arena(db, out);
-  if (!idx.ok) return out;
+  ArenaIndex idx;
+  if (!idx.extend(db, out)) return out;
 
   const std::vector<ClauseRef>& fwd = db.forwarding_table();
   std::size_t live = 0;
@@ -324,7 +314,7 @@ std::vector<Violation> check_gc_forwarding(const ClauseDb& db) {
     const ClauseRef new_ref = fwd[old_ref];
     if (new_ref == kInvalidClause) continue;
     ++live;
-    if (idx.starts.count(new_ref) == 0) {
+    if (!idx.contains(new_ref)) {
       add(out, "gc.forwarding", static_cast<std::int64_t>(old_ref),
           "old ref " + std::to_string(old_ref) + " forwards to " +
               std::to_string(new_ref) +
@@ -397,8 +387,8 @@ std::vector<Violation> check_watches(const SearchContext& ctx,
     }
   }
 
-  const ArenaIndex idx = index_arena(ctx.db, out);
-  if (!idx.ok) return out;
+  ArenaIndex idx;
+  if (!idx.extend(ctx.db, out)) return out;
 
   // Every entry: valid live ref, binary tag == (size == 2), blocker a
   // different literal of the clause. Collect occurrences per clause.
@@ -407,7 +397,7 @@ std::vector<Violation> check_watches(const SearchContext& ctx,
     for (std::uint32_t i = 0; i < w.size(code); ++i) {
       const Watch entry = w.get(code, i);
       const ClauseRef ref = entry.ref();
-      if (idx.starts.count(ref) == 0) {
+      if (!idx.contains(ref)) {
         add(out, "watch.ref", code,
             "watch list of " + lit_str(Lit::from_code(code)) +
                 " names ref " + std::to_string(ref) +
@@ -606,7 +596,8 @@ void check_engine_or_throw(const SearchContext& ctx,
   enforce(check_engine(ctx, prop, dv), where);
 }
 
-std::vector<Violation> check_assignment(const SearchContext& ctx, Lit l) {
+std::vector<Violation> check_assignment(const SearchContext& ctx, Lit l,
+                                        ArenaIndex& arena) {
   std::vector<Violation> out;
   if (!l.is_defined() || l.var() >= ctx.num_vars) {
     add(out, "trail.value", -1, "assignment event for an invalid literal");
@@ -618,8 +609,7 @@ std::vector<Violation> check_assignment(const SearchContext& ctx, Lit l) {
             " but the literal does not evaluate true");
     return out;
   }
-  const ArenaIndex idx = index_arena(ctx.db, out);
-  if (idx.ok) check_reason_of(ctx, idx, l, out);
+  if (arena.extend(ctx.db, out)) check_reason_of(ctx, arena, l, out);
   return out;
 }
 
@@ -646,6 +636,47 @@ std::vector<Violation> check_learned_clause(const SearchContext& ctx,
     }
   }
   return out;
+}
+
+void RuntimeAuditor::check_all(const char* where) const {
+  check_engine_or_throw(ctx_, prop_, decider_.audit_view(), where);
+}
+
+void RuntimeAuditor::on_assignment(Lit l, std::uint32_t, bool) {
+  // NS_SUPPRESS(allocation, throw, blocking): reached from BCP only while
+  // an auditor is attached, never on an unaudited search; its diagnostics
+  // allocate and throw by design.
+  enforce(check_assignment(ctx_, l, arena_), "audit::runtime(assignment)");
+}
+
+void RuntimeAuditor::on_conflict(std::uint64_t conflicts, std::uint32_t,
+                                 std::span<const Lit> learned, std::uint32_t) {
+  enforce(check_learned_clause(ctx_, learned), "audit::runtime(conflict)");
+  if (conflicts % 64 == 0) enforce(check_trail(ctx_), "audit::runtime(trail)");
+}
+
+void RuntimeAuditor::on_restart(std::uint64_t, std::uint64_t) {
+  check_all("audit::runtime(restart)");
+}
+
+void RuntimeAuditor::on_reduce(std::uint64_t, std::size_t, std::size_t) {
+  check_all("audit::runtime(reduce)");
+}
+
+void RuntimeAuditor::on_garbage_collect() {
+  enforce(check_gc_forwarding(ctx_.db), "audit::runtime(gc)");
+  arena_.clear();
+  check_all("audit::runtime(gc)");
+}
+
+void RuntimeAuditor::on_solve_begin(std::uint64_t, std::span<const Lit>) {
+  arena_.clear();
+  check_all("audit::runtime(solve_begin)");
+}
+
+void RuntimeAuditor::on_solve_end(std::uint64_t, solver::SatResult,
+                                  const solver::Statistics&) {
+  check_all("audit::runtime(solve_end)");
 }
 
 }  // namespace ns::audit

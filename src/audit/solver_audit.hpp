@@ -37,10 +37,12 @@
 ///   decider.vmtf_search  search pointer below an unassigned variable
 ///   engine.learned     freshly learned clause not asserting after backjump
 ///
-/// All checkers are compiled unconditionally — release binaries can run
-/// them on demand (`neuroselect_solve --audit`); the NS_CHECK gating only
-/// decides whether the *engine* calls them.
+/// The engine never calls a checker itself. `RuntimeAuditor` below is the
+/// one auditor: attached as an engine listener (`neuroselect_solve
+/// --audit`, the trajectory and incremental suites) it runs the checks at
+/// the events it observes; tests also call the checkers directly.
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -64,7 +66,8 @@ std::vector<Violation> check_clause_db(const solver::SearchContext& ctx);
 /// old-to-new mapping must be strictly monotone (arena order is preserved,
 /// so ref-based tie-breaks order identically across a collection), and the
 /// number of forwarded refs must equal the live clause count. Run at the
-/// GC boundary (NS_CHECK >= 1) before any new clause is added.
+/// GC boundary (RuntimeAuditor::on_garbage_collect) before any new clause
+/// is added.
 std::vector<Violation> check_gc_forwarding(const solver::ClauseDb& db);
 
 /// Watcher arena: block accounting and the two-watched-literal scheme
@@ -78,7 +81,7 @@ std::vector<Violation> check_watches(const solver::SearchContext& ctx,
 std::vector<Violation> check_decider(const solver::SearchContext& ctx,
                                      const solver::Decider::AuditView& dv);
 
-/// All of the above (the level-1 subsystem-boundary audit).
+/// All of the above (the auditor's whole-engine check).
 std::vector<Violation> check_engine(const solver::SearchContext& ctx,
                                     const solver::Propagator& prop,
                                     const solver::Decider::AuditView& dv);
@@ -89,82 +92,78 @@ void check_engine_or_throw(const solver::SearchContext& ctx,
                            const solver::Decider::AuditView& dv,
                            const char* where);
 
-/// Level-2 incremental check: one just-recorded assignment (trail value and
-/// its reason clause). Safe mid-propagation — it reads nothing but the
-/// assignment's own state.
-std::vector<Violation> check_assignment(const solver::SearchContext& ctx,
-                                        Lit l);
-
-/// Level-2 incremental check: a freshly learned clause as attached after
-/// the backjump — asserting literal true, every other literal false.
-std::vector<Violation> check_learned_clause(const solver::SearchContext& ctx,
-                                            std::span<const Lit> learned);
-
-/// The NS_CHECK=2 in-search auditor, attached by the Solver itself via its
-/// listener chain: audits every assignment inside propagate() and every
-/// learned clause inside the conflict path. Observes only; throws
-/// AuditError on the first violation.
-class EngineAuditListener final : public solver::EngineListener {
+/// The clause starts of an arena, the membership test behind every
+/// reference check. Between collections the arena only grows, so `extend`
+/// walks just the clauses appended since its last call. A collection moves
+/// clauses, so the owner calls `clear` after one; an arena that shrank (a
+/// reload) clears the index by itself.
+class ArenaIndex {
  public:
-  explicit EngineAuditListener(const solver::SearchContext& ctx) : ctx_(ctx) {}
-
-  void on_assignment(Lit l, std::uint32_t level, bool propagated) override {
-    (void)level;
-    (void)propagated;
-    // NS_SUPPRESS(allocation, throw, blocking): NS_CHECK>=2 auditing only —
-    // this listener is never attached on the production hot path, and its
-    // diagnostics allocate and throw by design.
-    enforce(check_assignment(ctx_, l), "audit::on_assignment");
+  void clear() {
+    start_.clear();
+    walked_ = 0;
   }
-  void on_conflict(std::uint64_t conflicts, std::uint32_t conflict_level,
-                   std::span<const Lit> learned, std::uint32_t glue) override {
-    (void)conflicts;
-    (void)conflict_level;
-    (void)glue;
-    enforce(check_learned_clause(ctx_, learned), "audit::on_conflict");
+
+  /// Indexes the clauses appended since the last call. A header whose size
+  /// or extent breaks the stride is a `db.walk` violation: the call returns
+  /// false, and the next one resumes at that header and reports it again.
+  bool extend(const solver::ClauseDb& db, std::vector<Violation>& out);
+
+  bool contains(solver::ClauseRef ref) const {
+    return ref < walked_ && start_[ref];
   }
 
  private:
-  const solver::SearchContext& ctx_;
+  std::vector<bool> start_;  ///< start_[w]: a clause header begins at word w
+  std::size_t walked_ = 0;   ///< arena words indexed so far
 };
 
-/// Level-1 audits on a release binary (`neuroselect_solve --audit`):
-/// trail audit every 64 conflicts, full engine audit on every restart and
-/// reduction, regardless of NS_CHECK. Observes only; throws AuditError.
+/// Incremental check: one just-recorded assignment (trail value and its
+/// reason clause). Safe mid-propagation — besides the assignment's own
+/// state it reads only the clauses `arena` has not indexed yet, so its
+/// amortized cost is the size of the reason clause.
+std::vector<Violation> check_assignment(const solver::SearchContext& ctx,
+                                        Lit l, ArenaIndex& arena);
+
+/// Incremental check: a freshly learned clause as attached after the
+/// backjump — asserting literal true, every other literal false.
+std::vector<Violation> check_learned_clause(const solver::SearchContext& ctx,
+                                            std::span<const Lit> learned);
+
+/// The engine auditor. Attach it with `Solver::set_listener` (chained with
+/// other listeners if needed) and it checks, as the search runs:
+///   every assignment       check_assignment
+///   every learned clause   check_learned_clause
+///   every 64th conflict    check_trail
+///   every collection       check_gc_forwarding, then the whole engine
+///   solve begin, restart, reduce and solve end   the whole engine
+/// Observes only, so the search path is the same with it attached; throws
+/// AuditError at the first event that finds a violation.
 class RuntimeAuditor final : public solver::EngineListener {
  public:
   RuntimeAuditor(const solver::SearchContext& ctx,
                  const solver::Propagator& prop, const solver::Decider& decider)
       : ctx_(ctx), prop_(prop), decider_(decider) {}
 
+  void on_assignment(Lit l, std::uint32_t level, bool propagated) override;
   void on_conflict(std::uint64_t conflicts, std::uint32_t conflict_level,
-                   std::span<const Lit> learned, std::uint32_t glue) override {
-    (void)conflict_level;
-    (void)glue;
-    enforce(check_learned_clause(ctx_, learned), "audit::runtime(conflict)");
-    if (conflicts % 64 == 0) {
-      enforce(check_trail(ctx_), "audit::runtime(trail)");
-    }
-  }
-  void on_restart(std::uint64_t restarts, std::uint64_t conflicts) override {
-    (void)restarts;
-    (void)conflicts;
-    check_engine_or_throw(ctx_, prop_, decider_.audit_view(),
-                          "audit::runtime(restart)");
-  }
+                   std::span<const Lit> learned, std::uint32_t glue) override;
+  void on_restart(std::uint64_t restarts, std::uint64_t conflicts) override;
   void on_reduce(std::uint64_t reductions, std::size_t deleted,
-                 std::size_t live_learned) override {
-    (void)reductions;
-    (void)deleted;
-    (void)live_learned;
-    check_engine_or_throw(ctx_, prop_, decider_.audit_view(),
-                          "audit::runtime(reduce)");
-  }
+                 std::size_t live_learned) override;
+  void on_garbage_collect() override;
+  void on_solve_begin(std::uint64_t query,
+                      std::span<const Lit> assumptions) override;
+  void on_solve_end(std::uint64_t query, solver::SatResult result,
+                    const solver::Statistics& query_stats) override;
 
  private:
+  void check_all(const char* where) const;
+
   const solver::SearchContext& ctx_;
   const solver::Propagator& prop_;
   const solver::Decider& decider_;
+  ArenaIndex arena_;  ///< rebuilt at solve begin and at every collection
 };
 
 }  // namespace ns::audit

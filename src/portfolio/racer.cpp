@@ -270,9 +270,7 @@ RaceResult PortfolioRacer::run_race(bool all,
   }
   for (const Lane& lane : lanes) out.engines[lane.engine] = lane.rec;
 
-  if constexpr (audit::kCheckLevel >= 1) {
-    audit::enforce(audit::check_race(out), "PortfolioRacer::race");
-  }
+  audit::enforce(audit::check_race(out), "PortfolioRacer::race");
   return out;
 }
 

@@ -95,6 +95,8 @@ struct RaceResult {
 /// multi-engine session: `load()` once, then `race()` repeatedly (with
 /// different assumptions or subsets) — engines keep learned clauses and
 /// heuristic state across races, exactly like PR 7's incremental streams.
+/// Every race checks its result with `audit::check_race` before returning
+/// it, and throws `audit::AuditError` on a violation.
 class PortfolioRacer {
  public:
   explicit PortfolioRacer(const EngineConfigRegistry& registry,

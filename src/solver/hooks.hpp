@@ -62,6 +62,14 @@ class EngineListener {
     (void)live_learned;
   }
 
+  /// The clause arena was compacted and every reference into it (reasons,
+  /// learned list, watches) remapped; `ClauseDb::forwarding_table()` holds
+  /// the relocation. Fired after both compaction sites: the eager one
+  /// inside each reduce (`gc_frac == 0`, before that reduce's `on_reduce`)
+  /// and the deferred or forced one that `Statistics::garbage_collections`
+  /// counts.
+  virtual void on_garbage_collect() {}
+
   /// A solve() query is starting. `query` is the 1-based query ordinal
   /// within the current load; `assumptions` is the assumption set (valid
   /// only for the duration of the call). Fired after the engine has
@@ -107,7 +115,6 @@ class PropagationHistogram final : public EngineListener {
 class ListenerChain final : public EngineListener {
  public:
   void add(EngineListener* l) { chain_.push_back(l); }
-  void clear() { chain_.clear(); }
 
   void on_assignment(Lit l, std::uint32_t level, bool propagated) override {
     // NS_SUPPRESS(virtual-dispatch): fan-out is the chain's documented
@@ -129,6 +136,9 @@ class ListenerChain final : public EngineListener {
     for (EngineListener* e : chain_) {
       e->on_reduce(reductions, deleted, live_learned);
     }
+  }
+  void on_garbage_collect() override {
+    for (EngineListener* e : chain_) e->on_garbage_collect();
   }
   void on_solve_begin(std::uint64_t query,
                       std::span<const Lit> assumptions) override {

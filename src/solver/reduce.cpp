@@ -112,6 +112,7 @@ void ReduceScheduler::reduce(Propagator& propagator) {
     db.garbage_collect();
     ctx_.remap_after_gc();
     propagator.rebuild();
+    if (ctx_.listener != nullptr) ctx_.listener->on_garbage_collect();
   }
 
   // Restart the Eq. 2 window. (The whole-run histogram, when anyone wants

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "audit/solver_audit.hpp"
 #include "solver/simplify.hpp"
 
 namespace ns::solver {
@@ -18,33 +17,6 @@ Solver::Solver(SolverOptions options)
       restarts_(ctx_),
       reducer_(ctx_) {
   ctx_.options = &options_;
-  wire_listener();  // installs the audit listener at NS_CHECK >= 2
-}
-
-Solver::~Solver() = default;
-
-void Solver::set_listener(EngineListener* listener) {
-  user_listener_ = listener;
-  wire_listener();
-}
-
-void Solver::wire_listener() {
-  if constexpr (audit::kCheckLevel >= 2) {
-    if (audit_listener_ == nullptr) {
-      audit_listener_ = std::make_unique<audit::EngineAuditListener>(ctx_);
-    }
-    audit_chain_.clear();
-    audit_chain_.add(audit_listener_.get());
-    if (user_listener_ != nullptr) audit_chain_.add(user_listener_);
-    ctx_.listener = &audit_chain_;
-  } else {
-    ctx_.listener = user_listener_;
-  }
-}
-
-void Solver::audit_subsystems(const char* where) {
-  audit::check_engine_or_throw(ctx_, propagator_, decider_.audit_view(),
-                               where);
 }
 
 void Solver::reset(std::size_t num_vars) {
@@ -111,13 +83,11 @@ void Solver::load(const CnfFormula& formula) {
     for (const Clause& c : pre.formula.clauses()) {
       if (!add_input_clause(c)) return;
     }
-    if constexpr (audit::kCheckLevel >= 1) audit_subsystems("audit::load");
     return;
   }
   for (const Clause& c : formula.clauses()) {
     if (!add_input_clause(c)) return;
   }
-  if constexpr (audit::kCheckLevel >= 1) audit_subsystems("audit::load");
 }
 
 void Solver::backtrack(std::uint32_t target_level) {
@@ -195,18 +165,15 @@ bool Solver::add_clause(std::span<const Lit> lits) {
 
 void Solver::garbage_collect() {
   assert(state_ == EngineState::kAdding);
-  garbage_collect_now("audit::gc(forced)");
+  garbage_collect_now();
 }
 
-void Solver::garbage_collect_now(const char* where) {
+void Solver::garbage_collect_now() {
   ctx_.db.garbage_collect();
   ctx_.remap_after_gc();
   propagator_.remap_watches(ctx_.db);
   ++ctx_.stats.garbage_collections;
-  if constexpr (audit::kCheckLevel >= 1) {
-    audit::enforce(audit::check_gc_forwarding(ctx_.db), where);
-    audit_subsystems(where);
-  }
+  if (ctx_.listener != nullptr) ctx_.listener->on_garbage_collect();
 }
 
 StopReason Solver::stop_reason() const {
@@ -278,7 +245,7 @@ SolveOutcome Solver::solve_with_assumptions(
   // Deferred garbage from a previous query's reductions may already sit
   // over the threshold; reclaim before searching again.
   if (options_.gc_frac > 0.0 && ctx_.db.check_garbage(options_.gc_frac)) {
-    garbage_collect_now("audit::gc(query)");
+    garbage_collect_now();
   }
 
   std::vector<Lit> learned;
@@ -328,14 +295,11 @@ SolveOutcome Solver::solve_with_assumptions(
 
       if (reducer_.should_reduce()) {
         reducer_.reduce(propagator_);
-        if constexpr (audit::kCheckLevel >= 1) {
-          audit_subsystems("audit::reduce");
-        }
         // Deferred mode: reduce only detached + marked; compact once the
         // dead fraction crosses the threshold.
         if (options_.gc_frac > 0.0 &&
             ctx_.db.check_garbage(options_.gc_frac)) {
-          garbage_collect_now("audit::gc(reduce)");
+          garbage_collect_now();
         }
       }
 
@@ -391,9 +355,6 @@ SolveOutcome Solver::solve_with_assumptions(
           if (ctx_.listener != nullptr) {
             ctx_.listener->on_restart(stats.restarts, stats.conflicts);
           }
-          if constexpr (audit::kCheckLevel >= 1) {
-            audit_subsystems("audit::restart");
-          }
           continue;
         }
         next = decider_.pick();
@@ -406,8 +367,6 @@ SolveOutcome Solver::solve_with_assumptions(
       ctx_.enqueue(next, kInvalidClause);
     }
   }
-
-  if constexpr (audit::kCheckLevel >= 1) audit_subsystems("audit::solve");
 
   // Close the open Eq. 2 window; whole-run histograms live in listeners.
   std::fill(ctx_.freq.begin(), ctx_.freq.end(), 0);

@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -43,10 +42,6 @@
 #include "solver/reduce.hpp"
 #include "solver/restart.hpp"
 #include "solver/stats.hpp"
-
-namespace ns::audit {
-class EngineAuditListener;
-}  // namespace ns::audit
 
 namespace ns::solver {
 
@@ -89,7 +84,6 @@ class Solver {
   enum class EngineState : std::uint8_t { kAdding, kSolving };
 
   explicit Solver(SolverOptions options = {});
-  ~Solver();
 
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
@@ -208,10 +202,9 @@ class Solver {
   void set_proof_tracer(ProofTracer* tracer) { ctx_.proof = tracer; }
 
   /// Attaches an engine event listener (or nullptr to detach). The listener
-  /// must outlive the solve() call; see hooks.hpp for the event set. When
-  /// compiled with NS_CHECK >= 2 the listener is chained behind the
-  /// in-search invariant auditor.
-  void set_listener(EngineListener* listener);
+  /// must outlive the solve() call; see hooks.hpp for the event set. The
+  /// invariant auditor (audit::RuntimeAuditor) is one such listener.
+  void set_listener(EngineListener* listener) { ctx_.listener = listener; }
 
   /// Propagation subsystem introspection (tests, benches).
   const Propagator& propagator() const { return propagator_; }
@@ -240,16 +233,9 @@ class Solver {
   /// continue.
   StopReason stop_reason() const;
 
-  /// Runs a compaction + full reference remap + GC-boundary audit.
-  void garbage_collect_now(const char* where);
-
-  /// Rebuilds ctx_.listener from the user listener and, at NS_CHECK >= 2,
-  /// the engine audit listener (audit first, then the user's).
-  void wire_listener();
-
-  /// Level-1 structural audit of every subsystem; throws audit::AuditError
-  /// naming `where` on the first broken invariant.
-  void audit_subsystems(const char* where);
+  /// Runs a compaction + full reference remap, then fires
+  /// on_garbage_collect.
+  void garbage_collect_now();
 
   SolverOptions options_;
   SearchContext ctx_;
@@ -259,12 +245,6 @@ class Solver {
   Decider decider_;
   RestartScheduler restarts_;
   ReduceScheduler reducer_;
-
-  // NS_CHECK >= 2 in-search auditing (see audit/solver_audit.hpp): the
-  // caller's listener and the audit listener are fanned out via one chain.
-  EngineListener* user_listener_ = nullptr;
-  ListenerChain audit_chain_;
-  std::unique_ptr<audit::EngineAuditListener> audit_listener_;
 
   // incremental solving
   std::vector<Lit> failed_assumptions_;

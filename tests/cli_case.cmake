@@ -1,16 +1,17 @@
-# ctest case: one neuroselect_solve invocation that must be refused.
+# ctest case: one neuroselect_solve invocation and its expected outcome.
 #
-# Writes a two-variable CNF into WORKDIR, runs the solver on it with ARGS and
-# asserts that
+# Writes a two-variable satisfiable CNF into WORKDIR, runs the solver on it
+# with ARGS and asserts that
 #   (a) the run exits with EXPECT_EXIT,
-#   (b) stderr matches EXPECT_ERROR, and
+#   (b) stderr matches EXPECT_ERROR and stdout matches EXPECT_OUTPUT (each
+#       checked only when given), and
 #   (c) nothing reports undefined behaviour: a `runtime error:` line is what
 #       a recovering UBSan build prints, so it fails the case at any exit.
 #
 # Variables (passed via -D): SOLVE, WORKDIR, ARGS (a ;-list), EXPECT_EXIT,
-# EXPECT_ERROR.
+# and optionally EXPECT_ERROR and EXPECT_OUTPUT (regexes).
 
-foreach(required SOLVE WORKDIR EXPECT_EXIT EXPECT_ERROR)
+foreach(required SOLVE WORKDIR EXPECT_EXIT)
   if(NOT DEFINED ${required})
     message(FATAL_ERROR "cli_case: ${required} not set")
   endif()
@@ -28,9 +29,13 @@ message(STATUS "neuroselect_solve exit ${res}\n${out}${err}")
 if(NOT res EQUAL EXPECT_EXIT)
   message(FATAL_ERROR "cli_case: expected exit ${EXPECT_EXIT}, got ${res}")
 endif()
-if(NOT err MATCHES "${EXPECT_ERROR}")
+if(DEFINED EXPECT_ERROR AND NOT err MATCHES "${EXPECT_ERROR}")
   message(FATAL_ERROR
       "cli_case: no diagnostic matching \"${EXPECT_ERROR}\" on stderr")
+endif()
+if(DEFINED EXPECT_OUTPUT AND NOT out MATCHES "${EXPECT_OUTPUT}")
+  message(FATAL_ERROR
+      "cli_case: no line matching \"${EXPECT_OUTPUT}\" on stdout")
 endif()
 if("${out}${err}" MATCHES "runtime error:")
   message(FATAL_ERROR "cli_case: the run reported undefined behaviour")

@@ -50,6 +50,17 @@ std::string rules_of(const std::vector<Violation>& vs) {
   return s;
 }
 
+/// The violations an auditor event throws with (empty when it does not).
+template <typename Event>
+std::vector<Violation> thrown_by(Event&& event) {
+  try {
+    event();
+  } catch (const AuditError& e) {
+    return e.violations();
+  }
+  return {};
+}
+
 // --- solver-side rig ---------------------------------------------------------
 
 /// A standalone engine state: context + propagator + decider, bypassing the
@@ -376,6 +387,18 @@ TEST(GcForwardingAudit, NonMonotoneRelocation) {
   EXPECT_TRUE(has_rule(out, "gc.forwarding")) << rules_of(out);
 }
 
+TEST(GcForwardingAudit, AuditorGcEventChecksTheTable) {
+  // The auditor's collection handler runs the forwarding check before any
+  // other: a clean table passes, a corrupted one is reported.
+  CollectedRig rig;
+  rig.prop.rebuild();  // the rig collected behind the propagator's back
+  RuntimeAuditor auditor(rig.ctx, rig.prop, rig.dec);
+  EXPECT_TRUE(thrown_by([&] { auditor.on_garbage_collect(); }).empty());
+  rig.ctx.db.debug_forwarding()[rig.c] = rig.a + 1;
+  const auto out = thrown_by([&] { auditor.on_garbage_collect(); });
+  EXPECT_TRUE(has_rule(out, "gc.forwarding")) << rules_of(out);
+}
+
 TEST(GcForwardingAudit, DroppedLiveClauseBreaksCount) {
   CollectedRig rig;
   // Forget a live clause's relocation: table claims fewer survivors than
@@ -458,18 +481,20 @@ TEST(DeciderAudit, VmtfSearchBelowUnassigned) {
   EXPECT_TRUE(has_rule(out, "decider.vmtf_search")) << rules_of(out);
 }
 
-// --- level-2 incremental checks ---------------------------------------------
+// --- incremental checks -----------------------------------------------------
 
 TEST(IncrementalAudit, AssignmentEventVerifies) {
   Rig rig(2);
   rig.ctx.enqueue(L(1), kInvalidClause);
-  const auto out = check_assignment(rig.ctx, L(1));
+  ArenaIndex arena;
+  const auto out = check_assignment(rig.ctx, L(1), arena);
   EXPECT_TRUE(out.empty()) << rules_of(out);
 }
 
 TEST(IncrementalAudit, AssignmentEventForUnassignedLiteral) {
   Rig rig(2);
-  const auto out = check_assignment(rig.ctx, L(2));
+  ArenaIndex arena;
+  const auto out = check_assignment(rig.ctx, L(2), arena);
   EXPECT_TRUE(has_rule(out, "trail.value")) << rules_of(out);
 }
 
@@ -492,7 +517,7 @@ TEST(IncrementalAudit, LearnedClauseNotAsserting) {
 
 TEST(IncrementalAudit, ListenerThrowsOnForgedAssignment) {
   Rig rig(2);
-  EngineAuditListener listener(rig.ctx);
+  RuntimeAuditor listener(rig.ctx, rig.prop, rig.dec);
   rig.ctx.enqueue(L(1), kInvalidClause);
   EXPECT_NO_THROW(listener.on_assignment(L(1), 0, true));
   EXPECT_THROW(listener.on_assignment(L(2), 0, true), AuditError);
@@ -588,6 +613,68 @@ TEST(RuntimeAuditorTest, FullSearchPassesEveryPeriodicAudit) {
   const auto final_check =
       check_engine(s.context(), s.propagator(), s.decider().audit_view());
   EXPECT_TRUE(final_check.empty()) << rules_of(final_check);
+}
+
+TEST(RuntimeAuditorTest, AssignmentAuditFollowsArenaAppends) {
+  // The auditor indexes only the clauses appended since its last event, so
+  // valid reasons in freshly appended clauses must be accepted, and a
+  // reason pointing into the middle of one must still be caught.
+  Rig rig(40);
+  RuntimeAuditor auditor(rig.ctx, rig.prop, rig.dec);
+  rig.ctx.trail.push_level();
+  rig.ctx.enqueue(L(1), kInvalidClause);
+  auditor.on_assignment(L(1), 1, false);
+  for (int k = 2; k <= 30; ++k) {
+    const ClauseRef reason = rig.add_clause({k, -1});
+    rig.ctx.enqueue(L(k), reason);
+    const auto out = thrown_by([&] { auditor.on_assignment(L(k), 1, true); });
+    EXPECT_TRUE(out.empty()) << "x" << k - 1 << ": " << rules_of(out);
+  }
+  const ClauseRef late = rig.add_clause({31, -1, -2});
+  rig.ctx.enqueue(L(31), late + 1);  // one word into the clause header
+  const auto out = thrown_by([&] { auditor.on_assignment(L(31), 1, true); });
+  EXPECT_TRUE(has_rule(out, "trail.reason")) << rules_of(out);
+  const ClauseRef valid = rig.add_clause({32, -1, -2});
+  rig.ctx.enqueue(L(32), valid);
+  EXPECT_TRUE(thrown_by([&] { auditor.on_assignment(L(32), 1, true); })
+                  .empty());
+}
+
+TEST(RuntimeAuditorTest, AssignmentAuditReindexesAfterCollection) {
+  // A collection slides clauses down, so a word that began a clause before
+  // it can sit mid-clause after it. Even once the arena has grown back past
+  // its old end, the auditor must accept the relocated clause and reject
+  // the stale start.
+  Rig rig(12);
+  RuntimeAuditor auditor(rig.ctx, rig.prop, rig.dec);
+  const ClauseRef a = rig.add_clause({1, 2, 3, 4});
+  const ClauseRef b = rig.add_clause({5, 6, 7});
+  const ClauseRef c = rig.add_clause({-7, -5, -6});
+  rig.ctx.enqueue(L(12), kInvalidClause);  // indexes a, b and c
+  auditor.on_assignment(L(12), 0, true);
+  const std::size_t words_before = rig.ctx.db.arena_words();
+
+  rig.ctx.db.mark_garbage(a);
+  rig.ctx.db.garbage_collect();
+  rig.ctx.remap_after_gc();
+  rig.prop.remap_watches(rig.ctx.db);
+  auditor.on_garbage_collect();
+  const ClauseRef moved_c = rig.ctx.db.forward(c);
+  ASSERT_LT(moved_c, b);
+  ASSERT_LT(b, moved_c + solver::ClauseDb::kHeaderWords + 3);  // b is mid-c
+  while (rig.ctx.db.arena_words() <= words_before) {
+    rig.add_clause({8, 9, 10});
+  }
+
+  rig.ctx.trail.push_level();
+  rig.ctx.enqueue(L(5), kInvalidClause);
+  rig.ctx.enqueue(L(6), kInvalidClause);
+  rig.ctx.enqueue(L(-7), moved_c);
+  EXPECT_TRUE(thrown_by([&] { auditor.on_assignment(L(-7), 1, true); })
+                  .empty());
+  rig.ctx.enqueue(L(11), b);  // the stale pre-collection start of b
+  const auto out = thrown_by([&] { auditor.on_assignment(L(11), 1, true); });
+  EXPECT_TRUE(has_rule(out, "trail.reason")) << rules_of(out);
 }
 
 // --- Program IR verifier -----------------------------------------------------

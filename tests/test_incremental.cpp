@@ -143,10 +143,11 @@ TEST(IncrementalTest, ForcedGcIsTrajectoryTransparent) {
 }
 
 TEST(IncrementalTest, HundredQueryStreamWithMidStreamGc) {
-  // The ISSUE's acceptance stream: 100 assumption queries over one loaded
-  // formula, deferred GC, and a mid-stream collection reclaiming >= 20% of
-  // the clause arena — with zero audit violations (the NS_CHECK=2 build
-  // audits every assignment; any build re-checks all invariants below).
+  // 100 assumption queries over one loaded formula, deferred GC, and a
+  // mid-stream collection reclaiming >= 20% of the clause arena — with zero
+  // audit violations: the attached auditor checks every assignment,
+  // learned clause and collection, and the whole engine at every query
+  // boundary, restart and reduce.
   // Near the phase transition with a SAT/UNSAT-mixed assumption stream
   // (~half each); a dense reduce schedule keeps deleting clauses so
   // deferred garbage builds well past the 20% reclaim target.
@@ -157,6 +158,8 @@ TEST(IncrementalTest, HundredQueryStreamWithMidStreamGc) {
   options.restart_interval = 16;
   options.gc_frac = 0.999;  // defer: let garbage build up past 20%
   Solver s{options};
+  audit::RuntimeAuditor auditor(s.context(), s.propagator(), s.decider());
+  s.set_listener(&auditor);
   s.load(f);
 
   bool reclaimed = false;
@@ -198,7 +201,7 @@ TEST(IncrementalTest, HundredQueryStreamWithMidStreamGc) {
     EXPECT_EQ(s.solve(assume).result, result);
   }
 
-  // Full subsystem-boundary audit, independent of the build's NS_CHECK.
+  // One more whole-engine audit, called directly instead of by the listener.
   audit::check_engine_or_throw(s.context(), s.propagator(),
                                s.decider().audit_view(), "test::stream");
 }

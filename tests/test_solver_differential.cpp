@@ -4,12 +4,15 @@
 /// fixed grid of instances x configurations. This pins the entire search
 /// trajectory — any change to visit order, heuristic state, float op
 /// order, or RNG consumption shows up as a counter mismatch here long
-/// before it would surface as a wrong SAT/UNSAT answer.
+/// before it would surface as a wrong SAT/UNSAT answer. Every grid point
+/// runs twice, bare and with the invariant auditor attached: the audits
+/// must pass and leave every counter where the golden table has it.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "audit/solver_audit.hpp"
 #include "trajectory_corpus.hpp"
 
 namespace ns::testing {
@@ -21,17 +24,7 @@ const TrajectoryGolden kGolden[] = {
 
 class TrajectoryTest : public ::testing::TestWithParam<TrajectoryGolden> {};
 
-TEST_P(TrajectoryTest, MatchesSeedEngineExactly) {
-  const TrajectoryGolden g = GetParam();
-  const auto instances = trajectory_instances();
-  const auto configs = trajectory_configs();
-  ASSERT_LT(g.instance, instances.size());
-  ASSERT_LT(g.config, configs.size());
-
-  const solver::SolveOutcome out = solver::solve_formula(
-      instances[g.instance].second, configs[g.config].second);
-  const solver::Statistics& s = out.stats;
-
+void expect_golden(const solver::Statistics& s, const TrajectoryGolden& g) {
   EXPECT_EQ(s.decisions, g.decisions);
   EXPECT_EQ(s.propagations, g.propagations);
   EXPECT_EQ(s.ticks, g.ticks);
@@ -49,6 +42,27 @@ TEST_P(TrajectoryTest, MatchesSeedEngineExactly) {
   // (plus root-level units, which come from no watch list).
   EXPECT_EQ(s.ticks_binary + s.ticks_long, s.ticks);
   EXPECT_LE(s.propagations_binary + s.propagations_long, s.propagations);
+}
+
+TEST_P(TrajectoryTest, MatchesSeedEngineExactly) {
+  const TrajectoryGolden g = GetParam();
+  const auto instances = trajectory_instances();
+  const auto configs = trajectory_configs();
+  ASSERT_LT(g.instance, instances.size());
+  ASSERT_LT(g.config, configs.size());
+  const CnfFormula& f = instances[g.instance].second;
+  const solver::SolverOptions& options = configs[g.config].second;
+
+  {
+    SCOPED_TRACE("bare");
+    expect_golden(solver::solve_formula(f, options).stats, g);
+  }
+  SCOPED_TRACE("audited");
+  solver::Solver s(options);
+  audit::RuntimeAuditor auditor(s.context(), s.propagator(), s.decider());
+  s.set_listener(&auditor);
+  s.load(f);
+  expect_golden(s.solve().stats, g);
 }
 
 std::string trajectory_name(

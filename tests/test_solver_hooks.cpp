@@ -20,6 +20,7 @@ struct RecordingListener final : EngineListener {
   std::uint64_t conflicts = 0;
   std::uint64_t restarts = 0;
   std::uint64_t reductions = 0;
+  std::uint64_t collections = 0;
   std::size_t deleted_total = 0;
   std::uint32_t max_glue = 0;
   bool empty_learned_seen = false;
@@ -45,6 +46,7 @@ struct RecordingListener final : EngineListener {
     EXPECT_EQ(reduce_count, reductions);
     deleted_total += deleted;
   }
+  void on_garbage_collect() override { ++collections; }
 };
 
 SolverOptions busy_options() {
@@ -74,9 +76,31 @@ TEST(EngineHooksTest, EventCountsMatchStatistics) {
   EXPECT_EQ(rec.reductions, out.stats.reductions);
   EXPECT_GT(rec.reductions, 0u);
   EXPECT_EQ(rec.deleted_total, out.stats.deleted_clauses);
+  // Eager collection (gc_frac == 0): every reduce compacts the arena once,
+  // and none of those compactions is a deferred garbage_collections one.
+  EXPECT_EQ(rec.collections, out.stats.reductions);
+  EXPECT_EQ(out.stats.garbage_collections, 0u);
   // Every enqueue is either a decision or a (re-)propagation.
   EXPECT_EQ(rec.assignments, out.stats.decisions + out.stats.propagations);
   EXPECT_EQ(rec.propagated_assignments, out.stats.propagations);
+}
+
+TEST(EngineHooksTest, DeferredCollectionsFireOneEventEach) {
+  // gc_frac > 0: reduces only mark garbage, and each deferred or forced
+  // compaction fires exactly one collection event.
+  const CnfFormula f = gen::pigeonhole(8, 7);
+  SolverOptions opts = busy_options();
+  opts.gc_frac = 0.1;
+  Solver s(opts);
+  RecordingListener rec;
+  s.set_listener(&rec);
+  s.load(f);
+  ASSERT_EQ(s.solve().result, SatResult::kUnsat);
+  EXPECT_GT(s.stats().garbage_collections, 0u);
+  EXPECT_LT(s.stats().garbage_collections, s.stats().reductions);
+  EXPECT_EQ(rec.collections, s.stats().garbage_collections);
+  s.garbage_collect();
+  EXPECT_EQ(rec.collections, s.stats().garbage_collections);
 }
 
 TEST(EngineHooksTest, HistogramTotalsMatchPropagationCount) {

@@ -41,10 +41,10 @@
 ///                                  rounds, and one per-engine entry
 ///                                  (config, stop reason, tick count, full
 ///                                  per-race counters)
-///     --audit                      run level-1 invariant audits during the
-///                                  search (any build, incl. NS_CHECK=0);
-///                                  a violation prints the broken invariant,
-///                                  dumps --stats-json if requested, exit 1
+///     --audit                      attach the engine invariant auditor
+///                                  (audit::RuntimeAuditor); a violation
+///                                  prints the broken invariant, dumps
+///                                  --stats-json if requested, exit 1
 ///     --progress                   print "c" lines on restarts/reductions
 ///     --quiet                      suppress the model ("v ...") lines
 ///
@@ -69,7 +69,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "audit/race_audit.hpp"
 #include "audit/solver_audit.hpp"
 #include "cnf/dimacs.hpp"
 #include "nn/models.hpp"
@@ -170,10 +169,10 @@ void write_counter_fields(std::FILE* f, const ns::solver::Statistics& s,
   std::fprintf(f, "%s\"proxy_seconds\": %.6f\n", indent, s.proxy_seconds());
 }
 
-void write_stats_json(std::FILE* f, const ns::solver::SatResult result,
-                      const ns::solver::Statistics& s,
-                      ns::solver::StopReason why = ns::solver::StopReason::kNone,
-                      const std::vector<Lit>* core = nullptr) {
+/// The opening both JSON views share: result, why and, under --assume,
+/// the failed-assumption core.
+void write_json_head(std::FILE* f, ns::solver::SatResult result,
+                     ns::solver::StopReason why, const std::vector<Lit>* core) {
   std::fprintf(f, "{\n  \"result\": \"%s\",\n", result_name(result));
   std::fprintf(f, "  \"why\": \"%s\",\n", ns::solver::stop_reason_name(why));
   if (core != nullptr) {
@@ -183,6 +182,13 @@ void write_stats_json(std::FILE* f, const ns::solver::SatResult result,
     }
     std::fprintf(f, "],\n");
   }
+}
+
+void write_stats_json(std::FILE* f, const ns::solver::SatResult result,
+                      const ns::solver::Statistics& s,
+                      ns::solver::StopReason why = ns::solver::StopReason::kNone,
+                      const std::vector<Lit>* core = nullptr) {
+  write_json_head(f, result, why, core);
   write_counter_fields(f, s, "  ");
   std::fprintf(f, "}\n");
 }
@@ -193,16 +199,7 @@ void write_race_json(std::FILE* f, const ns::portfolio::PortfolioRacer& racer,
                      const ns::portfolio::RaceResult& race,
                      const char* mode_name,
                      const std::vector<Lit>* core) {
-  std::fprintf(f, "{\n  \"result\": \"%s\",\n", result_name(race.result));
-  std::fprintf(f, "  \"why\": \"%s\",\n",
-               ns::solver::stop_reason_name(race.why));
-  if (core != nullptr) {
-    std::fprintf(f, "  \"core\": [");
-    for (std::size_t i = 0; i < core->size(); ++i) {
-      std::fprintf(f, "%s%d", i ? ", " : "", (*core)[i].to_dimacs());
-    }
-    std::fprintf(f, "],\n");
-  }
+  write_json_head(f, race.result, race.why, core);
   std::fprintf(f, "  \"portfolio\": {\n");
   std::fprintf(f, "    \"mode\": \"%s\",\n", mode_name);
   std::fprintf(f, "    \"k\": %zu,\n", racer.size());
@@ -236,6 +233,67 @@ void write_race_json(std::FILE* f, const ns::portfolio::PortfolioRacer& racer,
     std::fprintf(f, "      }%s\n", i + 1 < race.engines.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n  }\n}\n");
+}
+
+/// Runs `write` on the --stats-json target (`path`; "-" is stdout, empty
+/// means no JSON was asked for). False, with a diagnostic, when the file
+/// cannot be opened.
+template <typename Write>
+bool write_stats_file(const std::string& path, Write&& write) {
+  if (path.empty()) return true;
+  std::FILE* f = path == "-" ? stdout : std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "c cannot open stats file %s\n", path.c_str());
+    return false;
+  }
+  write(f);
+  if (f != stdout) std::fclose(f);
+  return true;
+}
+
+/// Prints an audit violation report (the run then exits 1).
+void report_audit_failure(const ns::audit::AuditError& e) {
+  std::printf("c AUDIT FAILURE: %s\n", e.what());
+  for (const ns::audit::Violation& v : e.violations()) {
+    std::printf("c   violated invariant %s: %s\n", v.rule.c_str(),
+                v.message.c_str());
+  }
+}
+
+/// The answer, single engine or race: the "s" status line plus the "v"
+/// model line on SAT, the "c core" line on UNSAT under --assume (`core`
+/// non-null), or the "c stopped:" line on UNKNOWN. Returns the exit code.
+int print_answer(ns::solver::SatResult result, const ns::Model& model,
+                 const std::vector<Lit>* core, ns::solver::StopReason why,
+                 bool quiet) {
+  switch (result) {
+    case ns::solver::SatResult::kSat: {
+      std::printf("s SATISFIABLE\n");
+      if (!quiet) {
+        std::printf("v");
+        for (std::size_t v = 0; v < model.size(); ++v) {
+          std::printf(" %s%zu", model[v] ? "" : "-", v + 1);
+        }
+        std::printf(" 0\n");
+      }
+      return 10;
+    }
+    case ns::solver::SatResult::kUnsat:
+      if (core != nullptr) {
+        // Failed assumption core: a subset of --assume whose conjunction
+        // with the formula is already unsatisfiable (empty when the
+        // formula is unsatisfiable on its own).
+        std::printf("c core");
+        for (const Lit l : *core) std::printf(" %d", l.to_dimacs());
+        std::printf(" 0\n");
+      }
+      std::printf("s UNSATISFIABLE\n");
+      return 20;
+    default:
+      std::printf("c stopped: %s\n", ns::solver::stop_reason_name(why));
+      std::printf("s UNKNOWN\n");
+      return 0;
+  }
 }
 
 }  // namespace
@@ -436,21 +494,13 @@ int main(int argc, char** argv) {
       for (const std::uint32_t id : plan.subset_ids) std::printf(" %u", id);
       std::printf("\n");
       racer.load(parsed.formula);
+      // The racer checks every race result (audit::check_race) itself.
       race = racer.race_subset(plan.subset_ids, assumptions);
-      if (audit) {
-        // Explicit race audit on any build (incl. NS_CHECK=0), mirroring
-        // the single-engine --audit contract.
-        ns::audit::enforce(ns::audit::check_race(race), "race(--audit)");
-        std::printf("c race invariants clean (--audit)\n");
-      }
     } catch (const ns::audit::AuditError& e) {
-      std::printf("c AUDIT FAILURE: %s\n", e.what());
-      for (const ns::audit::Violation& v : e.violations()) {
-        std::printf("c   violated invariant %s: %s\n", v.rule.c_str(),
-                    v.message.c_str());
-      }
+      report_audit_failure(e);
       return 1;
     }
+    if (audit) std::printf("c race invariants clean (--audit)\n");
 
     if (race.winner >= 0) {
       std::printf("c winner config %d (%s): %llu ticks, %llu rounds\n",
@@ -459,45 +509,13 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(race.winner_ticks),
                   static_cast<unsigned long long>(race.rounds));
     }
-    if (!stats_json_path.empty()) {
-      std::FILE* jf = stats_json_path == "-"
-                          ? stdout
-                          : std::fopen(stats_json_path.c_str(), "w");
-      if (jf == nullptr) {
-        std::fprintf(stderr, "c cannot open stats file %s\n",
-                     stats_json_path.c_str());
-        return 1;
-      }
-      write_race_json(jf, racer, race, mode_name,
-                      assumptions.empty() ? nullptr : &race.core);
-      if (jf != stdout) std::fclose(jf);
+    const std::vector<Lit>* core = assumptions.empty() ? nullptr : &race.core;
+    if (!write_stats_file(stats_json_path, [&](std::FILE* f) {
+          write_race_json(f, racer, race, mode_name, core);
+        })) {
+      return 1;
     }
-    switch (race.result) {
-      case ns::solver::SatResult::kSat: {
-        std::printf("s SATISFIABLE\n");
-        if (!quiet) {
-          std::printf("v");
-          for (std::size_t v = 0; v < parsed.formula.num_vars(); ++v) {
-            std::printf(" %s%zu", race.model[v] ? "" : "-", v + 1);
-          }
-          std::printf(" 0\n");
-        }
-        return 10;
-      }
-      case ns::solver::SatResult::kUnsat:
-        if (!assumptions.empty()) {
-          std::printf("c core");
-          for (const Lit l : race.core) std::printf(" %d", l.to_dimacs());
-          std::printf(" 0\n");
-        }
-        std::printf("s UNSATISFIABLE\n");
-        return 20;
-      default:
-        std::printf("c stopped: %s\n",
-                    ns::solver::stop_reason_name(race.why));
-        std::printf("s UNKNOWN\n");
-        return 0;
-    }
+    return print_answer(race.result, race.model, core, race.why, quiet);
   }
 
   ns::solver::Solver solver(options);
@@ -537,70 +555,21 @@ int main(int argc, char** argv) {
       }
       solver.set_proof_tracer(&proof_writer);
     }
+    // The auditor checks the whole engine again as the query ends.
     out = solver.solve(assumptions);
-    if (audit) {
-      // Final boundary audit, independent of how the search ended.
-      ns::audit::check_engine_or_throw(solver.context(), solver.propagator(),
-                                       solver.decider().audit_view(),
-                                       "audit::runtime(final)");
-    }
   } catch (const ns::audit::AuditError& e) {
-    std::printf("c AUDIT FAILURE: %s\n", e.what());
-    for (const ns::audit::Violation& v : e.violations()) {
-      std::printf("c   violated invariant %s: %s\n", v.rule.c_str(),
-                  v.message.c_str());
-    }
-    if (!stats_json_path.empty()) {
-      std::FILE* jf = stats_json_path == "-"
-                          ? stdout
-                          : std::fopen(stats_json_path.c_str(), "w");
-      if (jf != nullptr) {
-        write_stats_json(jf, ns::solver::SatResult::kUnknown, solver.stats());
-        if (jf != stdout) std::fclose(jf);
-      }
-    }
+    report_audit_failure(e);
+    write_stats_file(stats_json_path, [&](std::FILE* f) {
+      write_stats_json(f, ns::solver::SatResult::kUnknown, solver.stats());
+    });
     return 1;
   }
   std::printf("c %s\n", out.stats.summary().c_str());
-  if (!stats_json_path.empty()) {
-    std::FILE* jf = stats_json_path == "-"
-                        ? stdout
-                        : std::fopen(stats_json_path.c_str(), "w");
-    if (jf == nullptr) {
-      std::fprintf(stderr, "c cannot open stats file %s\n",
-                   stats_json_path.c_str());
-      return 1;
-    }
-    write_stats_json(jf, out.result, out.stats, out.why,
-                     assumptions.empty() ? nullptr : &out.core);
-    if (jf != stdout) std::fclose(jf);
+  const std::vector<Lit>* core = assumptions.empty() ? nullptr : &out.core;
+  if (!write_stats_file(stats_json_path, [&](std::FILE* f) {
+        write_stats_json(f, out.result, out.stats, out.why, core);
+      })) {
+    return 1;
   }
-  switch (out.result) {
-    case ns::solver::SatResult::kSat: {
-      std::printf("s SATISFIABLE\n");
-      if (!quiet) {
-        std::printf("v");
-        for (std::size_t v = 0; v < parsed.formula.num_vars(); ++v) {
-          std::printf(" %s%zu", out.model[v] ? "" : "-", v + 1);
-        }
-        std::printf(" 0\n");
-      }
-      return 10;
-    }
-    case ns::solver::SatResult::kUnsat:
-      if (!assumptions.empty()) {
-        // Failed assumption core: a subset of --assume whose conjunction
-        // with the formula is already unsatisfiable (empty when the
-        // formula is unsatisfiable on its own).
-        std::printf("c core");
-        for (const Lit l : out.core) std::printf(" %d", l.to_dimacs());
-        std::printf(" 0\n");
-      }
-      std::printf("s UNSATISFIABLE\n");
-      return 20;
-    default:
-      std::printf("c stopped: %s\n", ns::solver::stop_reason_name(out.why));
-      std::printf("s UNKNOWN\n");
-      return 0;
-  }
+  return print_answer(out.result, out.model, core, out.why, quiet);
 }
