@@ -186,7 +186,9 @@ TEST(EndToEndTest, SummaryAggregatesRuns) {
   EXPECT_GT(s.median_kissat, 0.0);
   EXPECT_GT(s.average_kissat, 0.0);
   for (const InstanceRun& r : s.runs) {
-    if (r.within_cap) EXPECT_GT(r.inference_seconds, 0.0);
+    if (r.within_cap) {
+      EXPECT_GT(r.inference_seconds, 0.0);
+    }
   }
 
   // Inference wall time is reported on its own (Fig. 7(b)); the proxy

@@ -301,8 +301,12 @@ TEST(TapeTest, BceIsStableForExtremeLogits) {
         prog.bce_with_logits(prog.constant(std::move(logit)), 1.0f);
     const float v = forward_value(prog, loss).at(0, 0);
     EXPECT_TRUE(std::isfinite(v));
-    if (x > 0) EXPECT_NEAR(v, 0.0f, 1e-6f);
-    if (x < 0) EXPECT_NEAR(v, 50.0f, 1e-4f);
+    if (x > 0) {
+      EXPECT_NEAR(v, 0.0f, 1e-6f);
+    }
+    if (x < 0) {
+      EXPECT_NEAR(v, 50.0f, 1e-4f);
+    }
   }
 }
 

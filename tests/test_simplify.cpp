@@ -201,7 +201,9 @@ TEST(SimplifyTest, SolverPreprocessOptionPreservesVerdicts) {
     const SolveOutcome out = solve_formula(f, pre);
     ASSERT_NE(out.result, SatResult::kUnknown);
     EXPECT_EQ(out.result == SatResult::kSat, oracle.has_value()) << seed;
-    if (out.result == SatResult::kSat) EXPECT_TRUE(f.satisfied_by(out.model));
+    if (out.result == SatResult::kSat) {
+      EXPECT_TRUE(f.satisfied_by(out.model));
+    }
   }
   EXPECT_EQ(solve_formula(gen::pigeonhole(6, 5), pre).result,
             SatResult::kUnsat);
