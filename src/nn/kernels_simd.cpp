@@ -24,6 +24,9 @@ namespace detail {
 // called from another TU's static initializer may observe the zero-init
 // false and take the scalar tier — safe either way.
 bool g_enabled = detect_cpu();
+#if defined(NS_SIMD_X86)
+bool g_avx512 = detect_cpu() && __builtin_cpu_supports("avx512f");
+#endif
 }  // namespace detail
 
 bool compiled_in() {
@@ -44,7 +47,7 @@ void set_enabled(bool on) { detail::g_enabled = on && available(); }
 const char* tier() {
   if (!enabled()) return "scalar";
 #if defined(NS_SIMD_X86)
-  return "avx2";
+  return detail::g_avx512 ? "avx512" : "avx2";
 #elif defined(NS_SIMD_NEON)
   return "neon";
 #else

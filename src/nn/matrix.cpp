@@ -70,16 +70,18 @@ float Matrix::sum() const {
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.cols() == b.rows());
   assert(c.rows() == a.rows() && c.cols() == b.cols());
-  c.fill(0.0f);
   for_each_output_row(
       a.rows(), a.rows() * a.cols() * b.cols(),
       [&](std::size_t r0, std::size_t r1) {
+        // The vector tier writes every element of its rows; only the
+        // scalar loop needs them cleared first.
         if (simd::gemm_rows(a.data(), a.cols(), b.data(), b.cols(), c.data(),
                             r0, r1)) {
           return;
         }
         for (std::size_t i = r0; i < r1; ++i) {
           float* crow = c.data() + i * c.cols();
+          std::fill(crow, crow + c.cols(), 0.0f);
           for (std::size_t k = 0; k < a.cols(); ++k) {
             const float aik = a.at(i, k);
             if (aik == 0.0f) continue;
@@ -93,19 +95,22 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.rows() == b.rows());
   assert(c.rows() == a.cols() && c.cols() == b.cols());
-  c.fill(0.0f);
   // Output row i is column i of A: accumulating k in ascending order keeps
   // the per-element float addition sequence of the serial kernel.
   for_each_output_row(
       a.cols(), a.rows() * a.cols() * b.cols(),
       [&](std::size_t r0, std::size_t r1) {
+        if (simd::gemm_at_b_rows(a.data(), a.rows(), a.cols(), b.data(),
+                                 b.cols(), c.data(), r0, r1)) {
+          return;
+        }
         for (std::size_t i = r0; i < r1; ++i) {
           float* crow = c.data() + i * c.cols();
+          std::fill(crow, crow + c.cols(), 0.0f);
           for (std::size_t k = 0; k < a.rows(); ++k) {
             const float aki = a.data()[k * a.cols() + i];
             if (aki == 0.0f) continue;
             const float* brow = b.data() + k * b.cols();
-            if (simd::axpy(crow, brow, aki, b.cols())) continue;
             for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aki * brow[j];
           }
         }

@@ -44,18 +44,22 @@ SparseMatrix SparseMatrix::from_coo(std::size_t rows, std::size_t cols,
 void SparseMatrix::multiply_into(const Matrix& x, Matrix& y) const {
   assert(x.rows() == cols_);
   assert(y.rows() == rows_ && y.cols() == x.cols());
-  y.fill(0.0f);
   // Each output row is owned by exactly one thread and accumulates its
   // edges in CSR order, so the result is bitwise independent of the thread
   // count. The single-thread case stays on the inline path so no
-  // std::function is ever constructed (see matrix.cpp).
+  // std::function is ever constructed (see matrix.cpp). The vector tier
+  // writes every element of its rows; only the scalar loop clears them.
   const auto rows_body = [&](std::size_t r0, std::size_t r1) {
+    if (simd::spmm_rows(row_ptr_.data(), col_.data(), val_.data(), x.data(),
+                        x.cols(), y.data(), r0, r1)) {
+      return;
+    }
     for (std::size_t r = r0; r < r1; ++r) {
       float* yrow = y.data() + r * y.cols();
+      std::fill(yrow, yrow + y.cols(), 0.0f);
       for (std::size_t e = row_ptr_[r]; e < row_ptr_[r + 1]; ++e) {
         const float w = val_[e];
         const float* xrow = x.data() + col_[e] * x.cols();
-        if (simd::axpy(yrow, xrow, w, x.cols())) continue;
         for (std::size_t j = 0; j < x.cols(); ++j) yrow[j] += w * xrow[j];
       }
     }
