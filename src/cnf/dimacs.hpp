@@ -22,13 +22,15 @@ struct ParseResult {
   CnfFormula formula;       ///< the parsed formula (valid only when ok)
 };
 
-/// Parses DIMACS CNF from a stream.
+/// Parses DIMACS CNF from a stream: reads all of it, then parses it as
+/// parse_dimacs_string does.
 ParseResult parse_dimacs(std::istream& in);
 
-/// Parses DIMACS CNF from a string.
+/// Parses DIMACS CNF from a string in one pass over its characters; the
+/// one parser behind all three entry points.
 ParseResult parse_dimacs_string(const std::string& text);
 
-/// Parses DIMACS CNF from a file on disk.
+/// Parses DIMACS CNF from a file on disk (read whole, then parsed).
 ParseResult parse_dimacs_file(const std::string& path);
 
 /// Writes `f` in DIMACS format (header + one clause per line).
