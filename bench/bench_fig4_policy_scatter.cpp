@@ -22,8 +22,7 @@ struct Measurement {
   bool frequency_solved;
 };
 
-Measurement measure(const ns::CnfFormula& f, std::uint64_t budget,
-                    double props_per_second) {
+Measurement measure(const ns::CnfFormula& f, std::uint64_t budget) {
   Measurement m{};
   ns::solver::SolverOptions opts;
   opts.max_propagations = budget;
@@ -34,7 +33,7 @@ Measurement measure(const ns::CnfFormula& f, std::uint64_t budget,
   m.default_seconds =
       (m.default_solved ? static_cast<double>(d.stats.propagations)
                         : static_cast<double>(budget)) /
-      props_per_second;
+      ns::core::kProxyPropsPerSecond;
 
   opts.deletion_policy = ns::policy::PolicyKind::kFrequency;
   const auto q = ns::solver::solve_formula(f, opts);
@@ -42,7 +41,7 @@ Measurement measure(const ns::CnfFormula& f, std::uint64_t budget,
   m.frequency_seconds =
       (m.frequency_solved ? static_cast<double>(q.stats.propagations)
                           : static_cast<double>(budget)) /
-      props_per_second;
+      ns::core::kProxyPropsPerSecond;
   return m;
 }
 
@@ -50,11 +49,10 @@ Measurement measure(const ns::CnfFormula& f, std::uint64_t budget,
 
 int main() {
   constexpr std::uint64_t kBudget = 500'000;  // the "5000 s" proxy timeout
-  constexpr double kPropsPerSecond = 100.0;
 
   std::printf("=== Figure 4: default vs frequency-guided clause deletion ===\n");
   std::printf("timeout: %.0f proxy-seconds (%llu propagations)\n\n",
-              static_cast<double>(kBudget) / kPropsPerSecond,
+              static_cast<double>(kBudget) / ns::core::kProxyPropsPerSecond,
               static_cast<unsigned long long>(kBudget));
   std::printf("name,family,default_s,frequency_s,winner\n");
 
@@ -62,7 +60,7 @@ int main() {
   std::size_t wins = 0, losses = 0, ties = 0, both_timeout = 0;
   double sum_default = 0.0, sum_frequency = 0.0;
   for (const ns::gen::NamedInstance& inst : split) {
-    const Measurement m = measure(inst.formula, kBudget, kPropsPerSecond);
+    const Measurement m = measure(inst.formula, kBudget);
     if (!m.default_solved && !m.frequency_solved) {
       ++both_timeout;  // excluded from the scatter, as in the paper
       continue;

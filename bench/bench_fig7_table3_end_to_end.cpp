@@ -63,9 +63,7 @@ int main() {
   std::vector<ns::gen::NamedInstance> test =
       ns::gen::generate_split(2022, 36, 17);
 
-  ns::core::EndToEndOptions opts;
-  opts.timeout_propagations = 500'000;
-  opts.proxy_props_per_second = 100.0;  // budget == 5000 proxy-seconds
+  const ns::core::EndToEndOptions opts;
   const ns::core::EndToEndSummary summary =
       ns::core::run_end_to_end(*model, test, opts);
 

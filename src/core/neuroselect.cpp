@@ -11,15 +11,8 @@
 namespace ns::core {
 namespace {
 
-double proxy_seconds(const solver::Statistics& stats,
-                     const EndToEndOptions& options) {
-  return static_cast<double>(stats.propagations) /
-         options.proxy_props_per_second;
-}
-
-double timeout_seconds(const EndToEndOptions& options) {
-  return static_cast<double>(options.timeout_propagations) /
-         options.proxy_props_per_second;
+double proxy_seconds(std::uint64_t propagations) {
+  return static_cast<double>(propagations) / kProxyPropsPerSecond;
 }
 
 struct MedianAvg {
@@ -238,8 +231,9 @@ InstanceRun run_instance(nn::SatClassifier* model,
   const solver::SolveOutcome baseline =
       solver::solve_formula(inst.formula, solver_options);
   run.kissat_solved = baseline.result != solver::SatResult::kUnknown;
-  run.kissat_seconds = run.kissat_solved ? proxy_seconds(baseline.stats, options)
-                                         : timeout_seconds(options);
+  run.kissat_seconds =
+      proxy_seconds(run.kissat_solved ? baseline.stats.propagations
+                                      : options.timeout_propagations);
 
   // NeuroSelect-Kissat: one inference picks the policy (Sec. 5.4). Large
   // instances bypass the model and keep the default policy.
@@ -272,9 +266,9 @@ InstanceRun run_instance(nn::SatClassifier* model,
   const solver::SolveOutcome guided =
       solver::solve_formula(inst.formula, solver_options);
   run.neuroselect_solved = guided.result != solver::SatResult::kUnknown;
-  run.neuroselect_seconds = run.neuroselect_solved
-                                ? proxy_seconds(guided.stats, options)
-                                : timeout_seconds(options);
+  run.neuroselect_seconds =
+      proxy_seconds(run.neuroselect_solved ? guided.stats.propagations
+                                           : options.timeout_propagations);
   return run;
 }
 

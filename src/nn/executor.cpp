@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "nn/kernels_simd.hpp"
-
 namespace ns::nn {
 namespace {
 
@@ -219,7 +217,6 @@ void Executor::forward() {
         const Matrix& va = value_of(in.a);
         const Matrix& vb = value_of(in.b);
         Matrix& y = out_of(i);
-        if (simd::add(y.data(), va.data(), vb.data(), y.size())) break;
         for (std::size_t k = 0; k < y.size(); ++k) {
           y.data()[k] = va.data()[k] + vb.data()[k];
         }
@@ -229,7 +226,6 @@ void Executor::forward() {
         const Matrix& va = value_of(in.a);
         const Matrix& vb = value_of(in.b);
         Matrix& y = out_of(i);
-        if (simd::sub(y.data(), va.data(), vb.data(), y.size())) break;
         for (std::size_t k = 0; k < y.size(); ++k) {
           y.data()[k] = va.data()[k] - vb.data()[k];
         }
@@ -239,7 +235,6 @@ void Executor::forward() {
         const Matrix& va = value_of(in.a);
         const Matrix& vb = value_of(in.b);
         Matrix& y = out_of(i);
-        if (simd::hadamard(y.data(), va.data(), vb.data(), y.size())) break;
         for (std::size_t k = 0; k < y.size(); ++k) {
           y.data()[k] = va.data()[k] * vb.data()[k];
         }
@@ -248,7 +243,6 @@ void Executor::forward() {
       case Op::kAddScalar: {
         const Matrix& va = value_of(in.a);
         Matrix& y = out_of(i);
-        if (simd::add_scalar(y.data(), va.data(), in.f0, y.size())) break;
         for (std::size_t k = 0; k < y.size(); ++k) {
           y.data()[k] = va.data()[k] + in.f0;
         }
@@ -265,7 +259,6 @@ void Executor::forward() {
       case Op::kRelu: {
         const Matrix& va = value_of(in.a);
         Matrix& y = out_of(i);
-        if (simd::relu(y.data(), va.data(), y.size())) break;
         for (std::size_t k = 0; k < y.size(); ++k) {
           const float x = va.data()[k];
           y.data()[k] = x < 0.0f ? 0.0f : x;
@@ -305,10 +298,6 @@ void Executor::forward() {
         const Matrix& vx = value_of(in.a);
         const Matrix& vb = value_of(in.b);
         Matrix& y = out_of(i);
-        if (simd::bias_add(y.data(), vx.data(), vb.data(), y.rows(),
-                           y.cols())) {
-          break;
-        }
         for (std::size_t r = 0; r < y.rows(); ++r) {
           for (std::size_t c = 0; c < y.cols(); ++c) {
             y.at(r, c) = vx.at(r, c) + vb.at(0, c);
@@ -328,10 +317,6 @@ void Executor::forward() {
         const Matrix& vx = value_of(in.a);
         const Matrix& vs = value_of(in.b);
         Matrix& y = out_of(i);
-        if (simd::row_scale(y.data(), vx.data(), vs.data(), y.rows(),
-                            y.cols())) {
-          break;
-        }
         for (std::size_t r = 0; r < y.rows(); ++r) {
           const float f = vs.at(r, 0);
           for (std::size_t c = 0; c < y.cols(); ++c) {

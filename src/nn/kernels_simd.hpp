@@ -1,9 +1,10 @@
 #pragma once
 /// \file kernels_simd.hpp
-/// Runtime-dispatched SIMD microkernels for the dense inner loops of the
-/// nn stack (DESIGN.md §13): GEMM row panels, axpy (the SpMM/AᵀB inner
-/// update), and the executor's elementwise ops (relu, add, bias-add, row
-/// scaling, ...).
+/// Runtime-dispatched SIMD microkernels for the three products of the nn
+/// stack (DESIGN.md §13): A·B and AᵀB row panels (`matmul_into`,
+/// `matmul_at_b_into`) and CSR·X rows (`SparseMatrix::multiply_into`).
+/// The executor's elementwise ops (relu, add, bias-add, row scaling, ...)
+/// have no entry point here: they are plain loops the compiler vectorizes.
 ///
 /// NS_HOT(every kernel here is a dense inner loop under runtime ISA dispatch)
 ///
@@ -12,9 +13,8 @@
 /// loop — which stays in the calling TU, unchanged, as the source of truth
 /// for semantics. Call sites therefore read
 ///
-///     if (!simd::axpy(y, x, a, n)) {
-///       for (std::size_t j = 0; j < n; ++j) y[j] += a * x[j];
-///     }
+///     if (simd::gemm_rows(a, acols, b, bcols, c, r0, r1)) return;
+///     for (std::size_t i = r0; i < r1; ++i) { /* the scalar row */ }
 ///
 /// and disabling SIMD (NS_SIMD=OFF at configure time, an unsupported CPU at
 /// process start, or `set_enabled(false)` at run time) reproduces today's
@@ -22,7 +22,7 @@
 ///
 /// Bitwise equality between the tiers is part of the contract, not a hope:
 ///  - Vectorization only runs *independent output elements* (the j lanes of
-///    an axpy / GEMM row) side by side; the per-element reduction over k
+///    a GEMM or SpMM row) side by side; the per-element reduction over k
 ///    stays in ascending order, so no float addition is reassociated.
 ///  - Fused multiply-add is used if and only if the translation unit is
 ///    compiled with FMA available (`__FMA__`), which is exactly when the
@@ -88,8 +88,8 @@ bool available();
 void set_enabled(bool on);
 
 /// Tier the *next* kernel call will take: "avx512" (the A·B and AᵀB
-/// products take their AVX-512 bodies, every other kernel its AVX2 one),
-/// "avx2", "neon", or "scalar".
+/// products take their AVX-512 bodies, SpMM its AVX2 one), "avx2", "neon",
+/// or "scalar".
 const char* tier();
 
 /// True when kernels will take the vector path right now.
@@ -128,17 +128,6 @@ inline float madd1(float a, float b, float acc) {
 #else
   return acc + a * b;
 #endif
-}
-
-__attribute__((target(NS_SIMD_TARGET))) inline void axpy_vec(
-    float* y, const float* x, float a, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(a);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(y + j,
-                     madd(va, _mm256_loadu_ps(x + j), _mm256_loadu_ps(y + j)));
-  }
-  for (; j < n; ++j) y[j] = madd1(a, x[j], y[j]);
 }
 
 /// Rows [r0, r1) of C = op(A)·B, where op(A)(i, k) = a[i·si + k·sk] for
@@ -334,82 +323,6 @@ inline void gemm_strided(const float* a, std::size_t si, std::size_t sk,
   }
 }
 
-__attribute__((target(NS_SIMD_TARGET))) inline void relu_vec(float* y,
-                                                             const float* x,
-                                                             std::size_t n) {
-  // andnot(x < 0, x): keeps -0 and NaN exactly like the scalar
-  // `x < 0 ? 0 : x` (both comparisons are false for -0 and NaN).
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 v = _mm256_loadu_ps(x + j);
-    const __m256 neg = _mm256_cmp_ps(v, zero, _CMP_LT_OQ);
-    _mm256_storeu_ps(y + j, _mm256_andnot_ps(neg, v));
-  }
-  for (; j < n; ++j) y[j] = x[j] < 0.0f ? 0.0f : x[j];
-}
-
-__attribute__((target(NS_SIMD_TARGET))) inline void add_vec(float* y,
-                                                            const float* a,
-                                                            const float* b,
-                                                            std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(y + j,
-                     _mm256_add_ps(_mm256_loadu_ps(a + j),
-                                   _mm256_loadu_ps(b + j)));
-  }
-  for (; j < n; ++j) y[j] = a[j] + b[j];
-}
-
-__attribute__((target(NS_SIMD_TARGET))) inline void sub_vec(float* y,
-                                                            const float* a,
-                                                            const float* b,
-                                                            std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(y + j,
-                     _mm256_sub_ps(_mm256_loadu_ps(a + j),
-                                   _mm256_loadu_ps(b + j)));
-  }
-  for (; j < n; ++j) y[j] = a[j] - b[j];
-}
-
-__attribute__((target(NS_SIMD_TARGET))) inline void mul_vec(float* y,
-                                                            const float* a,
-                                                            const float* b,
-                                                            std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(y + j,
-                     _mm256_mul_ps(_mm256_loadu_ps(a + j),
-                                   _mm256_loadu_ps(b + j)));
-  }
-  for (; j < n; ++j) y[j] = a[j] * b[j];
-}
-
-__attribute__((target(NS_SIMD_TARGET))) inline void scale_vec(float* y,
-                                                              const float* x,
-                                                              float s,
-                                                              std::size_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(y + j, _mm256_mul_ps(_mm256_loadu_ps(x + j), vs));
-  }
-  for (; j < n; ++j) y[j] = x[j] * s;
-}
-
-__attribute__((target(NS_SIMD_TARGET))) inline void add_scalar_vec(
-    float* y, const float* x, float s, std::size_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(y + j, _mm256_add_ps(_mm256_loadu_ps(x + j), vs));
-  }
-  for (; j < n; ++j) y[j] = x[j] + s;
-}
-
 }  // namespace detail
 
 #elif defined(NS_SIMD_NEON)
@@ -425,8 +338,7 @@ inline float madd1(float a, float b, float acc) {
   return __builtin_fmaf(a, b, acc);
 }
 
-/// y[j] += a * x[j] for j in [0, n); also the per-edge update of the
-/// NEON SpMM rows.
+/// y[j] += a * x[j] for j in [0, n): one edge of spmm_rows_vec below.
 inline void axpy_vec(float* y, const float* x, float a, std::size_t n) {
   const float32x4_t va = vdupq_n_f32(a);
   std::size_t j = 0;
@@ -503,59 +415,6 @@ inline void spmm_rows_vec(const std::size_t* row_ptr, const std::uint32_t* col,
   }
 }
 
-inline void relu_vec(float* y, const float* x, std::size_t n) {
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const float32x4_t v = vld1q_f32(x + j);
-    const uint32x4_t neg = vcltq_f32(v, zero);
-    vst1q_f32(y + j, vbslq_f32(neg, zero, v));
-  }
-  for (; j < n; ++j) y[j] = x[j] < 0.0f ? 0.0f : x[j];
-}
-
-inline void add_vec(float* y, const float* a, const float* b, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    vst1q_f32(y + j, vaddq_f32(vld1q_f32(a + j), vld1q_f32(b + j)));
-  }
-  for (; j < n; ++j) y[j] = a[j] + b[j];
-}
-
-inline void sub_vec(float* y, const float* a, const float* b, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    vst1q_f32(y + j, vsubq_f32(vld1q_f32(a + j), vld1q_f32(b + j)));
-  }
-  for (; j < n; ++j) y[j] = a[j] - b[j];
-}
-
-inline void mul_vec(float* y, const float* a, const float* b, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    vst1q_f32(y + j, vmulq_f32(vld1q_f32(a + j), vld1q_f32(b + j)));
-  }
-  for (; j < n; ++j) y[j] = a[j] * b[j];
-}
-
-inline void scale_vec(float* y, const float* x, float s, std::size_t n) {
-  const float32x4_t vs = vdupq_n_f32(s);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    vst1q_f32(y + j, vmulq_f32(vld1q_f32(x + j), vs));
-  }
-  for (; j < n; ++j) y[j] = x[j] * s;
-}
-
-inline void add_scalar_vec(float* y, const float* x, float s, std::size_t n) {
-  const float32x4_t vs = vdupq_n_f32(s);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    vst1q_f32(y + j, vaddq_f32(vld1q_f32(x + j), vs));
-  }
-  for (; j < n; ++j) y[j] = x[j] + s;
-}
-
 }  // namespace detail
 
 #endif  // NS_SIMD_X86 / NS_SIMD_NEON
@@ -565,13 +424,6 @@ inline void add_scalar_vec(float* y, const float* x, float s, std::size_t n) {
 // is off; the caller then runs its scalar loop.
 
 #if defined(NS_SIMD_X86) || defined(NS_SIMD_NEON)
-
-/// y[j] += a * x[j] for j in [0, n).
-inline bool axpy(float* y, const float* x, float a, std::size_t n) {
-  if (!detail::g_enabled) return false;
-  detail::axpy_vec(y, x, a, n);
-  return true;
-}
 
 /// Rows [r0, r1) of C = A·B (all row-major, contiguous; A is ·×acols, B is
 /// acols×bcols). Writes every element of those C rows (no clearing
@@ -607,61 +459,8 @@ inline bool spmm_rows(const std::size_t* row_ptr, const std::uint32_t* col,
   return true;
 }
 
-inline bool relu(float* y, const float* x, std::size_t n) {
-  if (!detail::g_enabled) return false;
-  detail::relu_vec(y, x, n);
-  return true;
-}
-
-inline bool add(float* y, const float* a, const float* b, std::size_t n) {
-  if (!detail::g_enabled) return false;
-  detail::add_vec(y, a, b, n);
-  return true;
-}
-
-inline bool sub(float* y, const float* a, const float* b, std::size_t n) {
-  if (!detail::g_enabled) return false;
-  detail::sub_vec(y, a, b, n);
-  return true;
-}
-
-/// Elementwise product (Hadamard).
-inline bool hadamard(float* y, const float* a, const float* b, std::size_t n) {
-  if (!detail::g_enabled) return false;
-  detail::mul_vec(y, a, b, n);
-  return true;
-}
-
-inline bool add_scalar(float* y, const float* x, float s, std::size_t n) {
-  if (!detail::g_enabled) return false;
-  detail::add_scalar_vec(y, x, s, n);
-  return true;
-}
-
-/// Y = X + 1·bias (bias is one row of `cols` floats): the kAddRowBroadcast
-/// kernel.
-inline bool bias_add(float* y, const float* x, const float* bias,
-                     std::size_t rows, std::size_t cols) {
-  if (!detail::g_enabled) return false;
-  for (std::size_t r = 0; r < rows; ++r) {
-    detail::add_vec(y + r * cols, x + r * cols, bias, cols);
-  }
-  return true;
-}
-
-/// Y[r][c] = X[r][c] * s[r] (s is an rows×1 column): the kRowMul kernel.
-inline bool row_scale(float* y, const float* x, const float* s,
-                      std::size_t rows, std::size_t cols) {
-  if (!detail::g_enabled) return false;
-  for (std::size_t r = 0; r < rows; ++r) {
-    detail::scale_vec(y + r * cols, x + r * cols, s[r], cols);
-  }
-  return true;
-}
-
 #else  // scalar-only build: same API, every kernel defers to the caller
 
-inline bool axpy(float*, const float*, float, std::size_t) { return false; }
 inline bool gemm_rows(const float*, std::size_t, const float*, std::size_t,
                       float*, std::size_t, std::size_t) {
   return false;
@@ -673,27 +472,6 @@ inline bool gemm_at_b_rows(const float*, std::size_t, std::size_t,
 }
 inline bool spmm_rows(const std::size_t*, const std::uint32_t*, const float*,
                       const float*, std::size_t, float*, std::size_t,
-                      std::size_t) {
-  return false;
-}
-inline bool relu(float*, const float*, std::size_t) { return false; }
-inline bool add(float*, const float*, const float*, std::size_t) {
-  return false;
-}
-inline bool sub(float*, const float*, const float*, std::size_t) {
-  return false;
-}
-inline bool hadamard(float*, const float*, const float*, std::size_t) {
-  return false;
-}
-inline bool add_scalar(float*, const float*, float, std::size_t) {
-  return false;
-}
-inline bool bias_add(float*, const float*, const float*, std::size_t,
-                     std::size_t) {
-  return false;
-}
-inline bool row_scale(float*, const float*, const float*, std::size_t,
                       std::size_t) {
   return false;
 }

@@ -17,17 +17,9 @@ int main() {
   const std::size_t row_ptr[3] = {0, 1, 2};
   const std::uint32_t col[2] = {1, 0};
 
-  if (simd::axpy(y, x, 2.0f, 8)) return 1;
   if (simd::gemm_rows(x, 4, x, 2, y, 0, 2)) return 2;
   if (simd::gemm_at_b_rows(x, 2, 4, x, 4, y, 0, 2)) return 12;
   if (simd::spmm_rows(row_ptr, col, x, x, 4, y, 0, 2)) return 13;
-  if (simd::relu(y, x, 8)) return 3;
-  if (simd::add(y, x, x, 8)) return 4;
-  if (simd::sub(y, x, x, 8)) return 5;
-  if (simd::hadamard(y, x, x, 8)) return 6;
-  if (simd::add_scalar(y, x, 0.5f, 8)) return 8;
-  if (simd::bias_add(y, x, x, 2, 4)) return 9;
-  if (simd::row_scale(y, x, x, 2, 4)) return 10;
 
   // A refused kernel must not have written anything.
   if (y[0] != saved) return 11;

@@ -162,8 +162,7 @@ TEST(EndToEndTest, TimeoutCountsAsUnsolvedAtTimeoutCost) {
   const InstanceRun run =
       run_instance(nullptr, named("php", gen::pigeonhole(8, 7)), opts);
   EXPECT_FALSE(run.kissat_solved);
-  EXPECT_DOUBLE_EQ(run.kissat_seconds,
-                   100.0 / opts.proxy_props_per_second);
+  EXPECT_DOUBLE_EQ(run.kissat_seconds, 100.0 / kProxyPropsPerSecond);
 }
 
 TEST(EndToEndTest, SummaryAggregatesRuns) {

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "gradcheck.hpp"
 #include "nn/executor.hpp"
@@ -16,6 +21,40 @@ namespace ns::nn {
 namespace {
 
 using ns::testing::forward_value;
+
+std::uint32_t bits(float x) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+/// The NaN this host's arithmetic produces (0·inf). Every NaN input is this
+/// one, so a result's NaN bits do not depend on which of two NaN operands
+/// an instruction propagates.
+float host_nan() {
+  volatile float zero = 0.0f;
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return zero * inf;
+}
+
+/// A rows×cols matrix whose even flat indices cycle through -0.0, +0.0, a
+/// subnormal, +inf, -inf and the host NaN, starting `phase` places into the
+/// cycle, between Uniform(-2, 2) entries. Index 0 of phase 0 is -0.0.
+Matrix special_matrix(std::size_t rows, std::size_t cols, std::size_t phase,
+                      std::mt19937& rng) {
+  const float specials[] = {-0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::denorm_min() * 37.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            host_nan()};
+  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = i % 2 == 0 ? specials[(i / 2 + phase) % 6] : dist(rng);
+  }
+  return m;
+}
 
 TEST(TapeSemanticsTest, ParameterGradientsAccumulateAcrossTapes) {
   Parameter w(Matrix::ones(1, 1));
@@ -134,6 +173,80 @@ TEST(TapeSemanticsTest, PositiveWeightScalesOnlyPositiveTerm) {
               1e-5f);
   // The weight must not touch the negative term.
   EXPECT_FLOAT_EQ(exec.value(neg3).at(0, 0), exec.value(neg1).at(0, 0));
+}
+
+// The executor's elementwise ops are plain loops that the compiler may
+// vectorize at any lane count, with scalar epilogues. The widths straddle
+// the 8-, 16- and 32-lane boundaries, and every output must equal the op's
+// scalar expression bit for bit with ±0, subnormal, ±inf and NaN operands:
+// relu keeps -0.0, -0.0 + 0.0 is +0.0, and inf + -inf and 0·inf give the
+// host NaN.
+TEST(ElementwiseOpsTest, InferenceExecutorMatchesScalarExpressionsBitwise) {
+  std::mt19937 rng(41);
+  const std::size_t kWidths[] = {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100};
+  const float kScalars[] = {-0.0f, 0.75f,
+                            -std::numeric_limits<float>::infinity()};
+  const std::size_t rows = 3;
+  for (const std::size_t n : kWidths) {
+    const Matrix a = special_matrix(1, n, 0, rng);
+    const Matrix b = special_matrix(1, n, 1, rng);
+    const Matrix x = special_matrix(rows, n, 2, rng);
+    const Matrix bias = special_matrix(1, n, 4, rng);
+    const Matrix s = special_matrix(rows, 1, 3, rng);
+
+    Program prog;
+    const TensorId ta = prog.constant(a);
+    const TensorId tb = prog.constant(b);
+    const TensorId tx = prog.constant(x);
+    const TensorId relu = prog.relu(ta);
+    const TensorId add = prog.add(ta, tb);
+    const TensorId sub = prog.sub(ta, tb);
+    const TensorId hadamard = prog.hadamard(ta, tb);
+    std::vector<TensorId> add_scalar;
+    for (const float c : kScalars) add_scalar.push_back(prog.add_scalar(ta, c));
+    const TensorId bias_add =
+        prog.add_row_broadcast(tx, prog.constant(bias));
+    const TensorId row_mul = prog.row_mul(tx, prog.constant(s));
+    Executor exec(prog, ExecMode::kInference);
+    exec.forward();
+
+    const auto expect = [&](TensorId id, const std::string& op,
+                            const auto& scalar) {
+      const Matrix& y = exec.value(id);
+      for (std::size_t r = 0; r < y.rows(); ++r) {
+        for (std::size_t c = 0; c < y.cols(); ++c) {
+          ASSERT_EQ(bits(y.at(r, c)), bits(scalar(r, c)))
+              << op << " width " << n << " at (" << r << ", " << c
+              << "): " << y.at(r, c) << " vs " << scalar(r, c);
+        }
+      }
+    };
+    expect(relu, "relu", [&](std::size_t r, std::size_t c) {
+      const float v = a.at(r, c);
+      return v < 0.0f ? 0.0f : v;
+    });
+    expect(add, "add", [&](std::size_t r, std::size_t c) {
+      return a.at(r, c) + b.at(r, c);
+    });
+    expect(sub, "sub", [&](std::size_t r, std::size_t c) {
+      return a.at(r, c) - b.at(r, c);
+    });
+    expect(hadamard, "hadamard", [&](std::size_t r, std::size_t c) {
+      return a.at(r, c) * b.at(r, c);
+    });
+    for (std::size_t k = 0; k < add_scalar.size(); ++k) {
+      expect(add_scalar[k], "add_scalar " + std::to_string(kScalars[k]),
+             [&](std::size_t r, std::size_t c) {
+               return a.at(r, c) + kScalars[k];
+             });
+    }
+    expect(bias_add, "add_row_broadcast", [&](std::size_t r, std::size_t c) {
+      return x.at(r, c) + bias.at(0, c);
+    });
+    expect(row_mul, "row_mul", [&](std::size_t r, std::size_t c) {
+      return x.at(r, c) * s.at(r, 0);
+    });
+  }
 }
 
 TEST(LinearAttentionSemanticsTest, DiagonalStaysPositive) {

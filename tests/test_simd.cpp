@@ -1,17 +1,19 @@
 /// \file test_simd.cpp
-/// Scalar-vs-SIMD bitwise equality, kernel by kernel (DESIGN.md §13). Each
-/// test drives a dispatch entry point twice — vector tier on, then off with
-/// the caller's scalar fallback loop — over ragged sizes that cover the
-/// full vector width, the partial tail, and the scalar-only remainder, and
-/// requires the float bits to match exactly. The scalar loops here are
-/// copies of the production call sites' fallbacks, compiled in the same
-/// translation-unit flags, so the comparison exercises the real contract:
-/// one contraction mode per build, no reassociation across lanes.
+/// Scalar-vs-SIMD bitwise equality for the three product kernels (A·B,
+/// AᵀB, SpMM; DESIGN.md §13), the only kernels with a vector tier. Each
+/// test drives a dispatch entry point with the vector tier on, requires it
+/// to refuse with the tier off, and compares it with the caller's scalar
+/// fallback loop over ragged sizes that cover the full vector width, the
+/// partial tail, and the scalar-only remainder, requiring the float bits
+/// to match exactly. The scalar loops here are copies of the production
+/// call sites' fallbacks, compiled in the same translation-unit flags, so
+/// the comparison exercises the real contract: one contraction mode per
+/// build, no reassociation across lanes.
 ///
-/// The product kernels (A·B, AᵀB, SpMM) are also checked body by body:
-/// every vector body this host can run is called directly, so an AVX-512
-/// host checks its AVX2 bodies too, over row ranges that start mid-matrix
-/// and with -0.0, subnormal, infinite and NaN entries.
+/// The A·B and AᵀB kernels are also checked body by body: every vector
+/// body this host can run is called directly, so an AVX-512 host checks its
+/// AVX2 bodies too, over row ranges that start mid-matrix and with -0.0,
+/// subnormal, infinite and NaN entries.
 ///
 /// On machines without the compiled tier (or in an NS_SIMD=OFF build) every
 /// dispatch call returns false and the suite degenerates to checking that.
@@ -41,17 +43,6 @@ std::uint32_t bits(float x) {
 /// 32-wide AVX2 and AVX-512 panels, the 16- and 8-wide vectors, the
 /// scalar or masked tail) and the 4-wide NEON equivalents.
 const std::size_t kSizes[] = {1, 3, 7, 8, 9, 15, 16, 31, 32, 33, 40, 100};
-
-/// Deterministic mixed-sign data with exact zeros sprinkled in.
-std::vector<float> random_data(std::size_t n, std::uint32_t seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
-  std::vector<float> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = (rng() % 7 == 0) ? 0.0f : dist(rng);
-  }
-  return v;
-}
 
 class SimdKernelsTest : public ::testing::Test {
  protected:
@@ -86,34 +77,16 @@ TEST_F(SimdKernelsTest, DispatchReportsTierConsistently) {
     EXPECT_EQ(std::string(tier()), "scalar");
     float y[4] = {0.0f, 0.0f, 0.0f, 0.0f};
     const float x[4] = {1.0f, 2.0f, 3.0f, 4.0f};
-    EXPECT_FALSE(axpy(y, x, 2.0f, 4));
+    EXPECT_FALSE(gemm_rows(x, 2, x, 2, y, 0, 2));
     EXPECT_EQ(bits(y[0]), bits(0.0f));  // a refused kernel writes nothing
   }
   set_enabled(false);
   EXPECT_FALSE(enabled());
   float y[4] = {0.0f, 0.0f, 0.0f, 0.0f};
   const float x[4] = {1.0f, 2.0f, 3.0f, 4.0f};
-  EXPECT_FALSE(axpy(y, x, 2.0f, 4));
+  EXPECT_FALSE(gemm_rows(x, 2, x, 2, y, 0, 2));
   set_enabled(true);
   EXPECT_EQ(enabled(), available());
-}
-
-TEST_F(SimdKernelsTest, AxpyMatchesScalar) {
-  if (!vector_tier()) GTEST_SKIP() << "vector tier unavailable";
-  for (const std::size_t n : kSizes) {
-    const std::vector<float> x = random_data(n, 11u + n);
-    std::vector<float> y_simd = random_data(n, 23u + n);
-    std::vector<float> y_ref = y_simd;
-    const float a = 1.37f;
-
-    set_enabled(true);
-    ASSERT_TRUE(axpy(y_simd.data(), x.data(), a, n));
-    set_enabled(false);
-    ASSERT_FALSE(axpy(y_ref.data(), x.data(), a, n));
-    for (std::size_t j = 0; j < n; ++j) y_ref[j] += a * x[j];
-
-    expect_bitwise_equal(y_simd, y_ref, "axpy", n);
-  }
 }
 
 // --- product kernels ---------------------------------------------------------
@@ -369,103 +342,6 @@ TEST_F(SimdKernelsTest, SpmmRowsMatchesScalar) {
         }
       }
     }
-  }
-}
-
-TEST_F(SimdKernelsTest, ReluMatchesScalarIncludingNegativeZero) {
-  if (!vector_tier()) GTEST_SKIP() << "vector tier unavailable";
-  for (const std::size_t n : kSizes) {
-    std::vector<float> x = random_data(n, 43u + n);
-    x[0] = -0.0f;  // sign-of-zero must round-trip exactly like the scalar op
-    if (n > 1) x[n / 2] = 0.0f;
-    std::vector<float> y_simd(n, -5.0f), y_ref(n, -5.0f);
-
-    set_enabled(true);
-    ASSERT_TRUE(relu(y_simd.data(), x.data(), n));
-    set_enabled(false);
-    ASSERT_FALSE(relu(y_ref.data(), x.data(), n));
-    for (std::size_t j = 0; j < n; ++j) y_ref[j] = x[j] < 0.0f ? 0.0f : x[j];
-
-    expect_bitwise_equal(y_simd, y_ref, "relu", n);
-  }
-}
-
-TEST_F(SimdKernelsTest, ElementwiseBinariesMatchScalar) {
-  if (!vector_tier()) GTEST_SKIP() << "vector tier unavailable";
-  for (const std::size_t n : kSizes) {
-    const std::vector<float> a = random_data(n, 51u + n);
-    const std::vector<float> b = random_data(n, 67u + n);
-    std::vector<float> y_simd(n), y_ref(n);
-
-    set_enabled(true);
-    ASSERT_TRUE(add(y_simd.data(), a.data(), b.data(), n));
-    set_enabled(false);
-    ASSERT_FALSE(add(y_ref.data(), a.data(), b.data(), n));
-    for (std::size_t j = 0; j < n; ++j) y_ref[j] = a[j] + b[j];
-    expect_bitwise_equal(y_simd, y_ref, "add", n);
-
-    set_enabled(true);
-    ASSERT_TRUE(sub(y_simd.data(), a.data(), b.data(), n));
-    set_enabled(false);
-    ASSERT_FALSE(sub(y_ref.data(), a.data(), b.data(), n));
-    for (std::size_t j = 0; j < n; ++j) y_ref[j] = a[j] - b[j];
-    expect_bitwise_equal(y_simd, y_ref, "sub", n);
-
-    set_enabled(true);
-    ASSERT_TRUE(hadamard(y_simd.data(), a.data(), b.data(), n));
-    set_enabled(false);
-    ASSERT_FALSE(hadamard(y_ref.data(), a.data(), b.data(), n));
-    for (std::size_t j = 0; j < n; ++j) y_ref[j] = a[j] * b[j];
-    expect_bitwise_equal(y_simd, y_ref, "hadamard", n);
-  }
-}
-
-TEST_F(SimdKernelsTest, ScalarBroadcastsMatchScalar) {
-  if (!vector_tier()) GTEST_SKIP() << "vector tier unavailable";
-  for (const std::size_t n : kSizes) {
-    const std::vector<float> x = random_data(n, 71u + n);
-    std::vector<float> y_simd(n), y_ref(n);
-    const float s = -0.731f;
-
-    set_enabled(true);
-    ASSERT_TRUE(add_scalar(y_simd.data(), x.data(), s, n));
-    set_enabled(false);
-    ASSERT_FALSE(add_scalar(y_ref.data(), x.data(), s, n));
-    for (std::size_t j = 0; j < n; ++j) y_ref[j] = x[j] + s;
-    expect_bitwise_equal(y_simd, y_ref, "add_scalar", n);
-  }
-}
-
-TEST_F(SimdKernelsTest, RowKernelsMatchScalar) {
-  if (!vector_tier()) GTEST_SKIP() << "vector tier unavailable";
-  for (const std::size_t cols : kSizes) {
-    const std::size_t rows = 4;
-    const std::vector<float> x = random_data(rows * cols, 83u + cols);
-    const std::vector<float> b = random_data(cols, 97u + cols);
-    const std::vector<float> s = random_data(rows, 103u + cols);
-    std::vector<float> y_simd(rows * cols), y_ref(rows * cols);
-
-    set_enabled(true);
-    ASSERT_TRUE(bias_add(y_simd.data(), x.data(), b.data(), rows, cols));
-    set_enabled(false);
-    ASSERT_FALSE(bias_add(y_ref.data(), x.data(), b.data(), rows, cols));
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        y_ref[r * cols + c] = x[r * cols + c] + b[c];
-      }
-    }
-    expect_bitwise_equal(y_simd, y_ref, "bias_add", cols);
-
-    set_enabled(true);
-    ASSERT_TRUE(row_scale(y_simd.data(), x.data(), s.data(), rows, cols));
-    set_enabled(false);
-    ASSERT_FALSE(row_scale(y_ref.data(), x.data(), s.data(), rows, cols));
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        y_ref[r * cols + c] = x[r * cols + c] * s[r];
-      }
-    }
-    expect_bitwise_equal(y_simd, y_ref, "row_scale", cols);
   }
 }
 

@@ -97,9 +97,9 @@ void usage(const char* prog) {
 }
 
 /// The one strict parser for numeric flag values: the whole token must be
-/// an unsigned integer (integral T) or a finite non-negative number
-/// (floating-point T). Signs on integers, trailing text, overflow, inf and
-/// nan all yield nullopt.
+/// an integer in T's range (integral T; no '+', and '-' only for signed T)
+/// or a finite non-negative number (floating-point T). Trailing text,
+/// overflow, inf and nan all yield nullopt.
 template <typename T>
 std::optional<T> parse_number(const char* text) {
   T value{};
@@ -351,20 +351,25 @@ int main(int argc, char** argv) {
       proof_path = next();
     } else if (arg == "--assume") {
       std::istringstream in(next());
-      int dimacs = 0;
-      while (in >> dimacs) {
-        if (dimacs == 0) continue;  // tolerate a trailing DIMACS terminator
-        // INT_MIN has no int magnitude, so no literal can be built from it.
-        if (dimacs == std::numeric_limits<int>::min()) {
-          std::fprintf(stderr, "c --assume literal %d is out of range\n",
-                       dimacs);
+      std::string token;
+      while (in >> token) {
+        // Each whitespace token is one whole int; a leading '+' is allowed.
+        const char* text = token.c_str();
+        if (text[0] == '+' && text[1] != '-') ++text;
+        const std::optional<int> dimacs = parse_number<int>(text);
+        if (!dimacs) {
+          std::fprintf(stderr, "c --assume expects int literals, got '%s'\n",
+                       token.c_str());
           return 1;
         }
-        assumptions.push_back(Lit::from_dimacs(dimacs));
-      }
-      if (!in.eof()) {
-        std::fprintf(stderr, "cannot parse --assume literals\n");
-        return 1;
+        if (*dimacs == 0) continue;  // tolerate a trailing DIMACS terminator
+        // INT_MIN has no int magnitude, so no literal can be built from it.
+        if (*dimacs == std::numeric_limits<int>::min()) {
+          std::fprintf(stderr, "c --assume literal %d is out of range\n",
+                       *dimacs);
+          return 1;
+        }
+        assumptions.push_back(Lit::from_dimacs(*dimacs));
       }
     } else if (arg == "--budget-conflicts") {
       number(budget.conflicts);
