@@ -3,7 +3,7 @@
 ///   1. the Eq. 2 threshold alpha (the paper fixes it to 4/5 empirically),
 ///   2. the reduce fraction (how aggressively the DB is trimmed),
 ///   3. the keep-glue tier (which clauses are never reducible),
-///   4. the Fig. 5 field order (frequency-primary vs frequency-tertiary),
+///   4. the deletion policy itself (default vs frequency),
 /// measured as total propagations over a mixed hard suite.
 
 #include <cstdio>

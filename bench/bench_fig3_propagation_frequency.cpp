@@ -66,11 +66,10 @@ int main() {
                 100 * pct, total ? 100.0 * head / total : 0.0);
   }
   std::printf("\nhot-variable count at alpha=4/5 (Eq. 2 threshold): ");
+  const double threshold = opts.frequency_alpha * static_cast<double>(fmax);
   std::size_t hot = 0;
   for (std::uint64_t c : freq) {
-    if (fmax > 0 && static_cast<double>(c) > 0.8 * static_cast<double>(fmax)) {
-      ++hot;
-    }
+    if (fmax > 0 && static_cast<double>(c) > threshold) ++hot;
   }
   std::printf("%zu of %zu variables\n", hot, freq.size());
   return 0;

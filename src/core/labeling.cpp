@@ -4,11 +4,14 @@
 
 namespace ns::core {
 
+/// The paper's 2% rule (Sec. 5.1).
+constexpr double kImprovementThreshold = 0.02;
+
 LabeledInstance label_instance(gen::NamedInstance inst,
                                const LabelingOptions& options) {
   LabeledInstance out;
 
-  solver::SolverOptions solver_options = options.base_solver;
+  solver::SolverOptions solver_options;
   solver_options.max_propagations = options.max_propagations;
 
   // The two policy runs are independent solves of the same formula; fan
@@ -17,20 +20,11 @@ LabeledInstance label_instance(gen::NamedInstance inst,
   const policy::PolicyKind kinds[2] = {policy::PolicyKind::kDefault,
                                        policy::PolicyKind::kFrequency};
   solver::SolveOutcome outcomes[2];
-  // Engine-hook consumer: the default-policy run optionally carries a
-  // propagation histogram (whole-run f_v counts). Listeners observe events
-  // without perturbing the search, so both runs stay budget-identical.
-  solver::PropagationHistogram histogram(
-      options.collect_histogram ? inst.formula.num_vars() : 0);
   runtime::parallel_for(2, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       solver::SolverOptions run_options = solver_options;
       run_options.deletion_policy = kinds[i];
-      solver::EngineListener* listener =
-          (options.collect_histogram && kinds[i] == policy::PolicyKind::kDefault)
-              ? &histogram
-              : nullptr;
-      outcomes[i] = solver::solve_formula(inst.formula, run_options, listener);
+      outcomes[i] = solver::solve_formula(inst.formula, run_options);
     }
   });
   const solver::SolveOutcome& def = outcomes[0];
@@ -45,9 +39,7 @@ LabeledInstance label_instance(gen::NamedInstance inst,
   // (Sec. 5.1). A budget-capped run simply contributes its capped count.
   const double d = static_cast<double>(out.propagations_default);
   const double f = static_cast<double>(out.propagations_frequency);
-  out.label = (d > 0.0 && (d - f) / d >= options.improvement_threshold) ? 1 : 0;
-
-  if (options.collect_histogram) out.propagation_histogram = histogram.counts();
+  out.label = (d > 0.0 && (d - f) / d >= kImprovementThreshold) ? 1 : 0;
 
   out.graph = nn::GraphBatch::build(inst.formula);
   out.instance = std::move(inst);

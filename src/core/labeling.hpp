@@ -15,16 +15,9 @@
 
 namespace ns::core {
 
-/// Budget and threshold knobs for labelling runs.
+/// Budget of labelling runs; otherwise both use `solver::SolverOptions{}`.
 struct LabelingOptions {
   std::uint64_t max_propagations = 2'000'000;  ///< per-solve budget
-  double improvement_threshold = 0.02;         ///< the paper's 2% rule
-  solver::SolverOptions base_solver;           ///< shared non-policy options
-  /// Attach a PropagationHistogram engine hook to the default-policy run
-  /// and store the per-variable propagation counts (whole-run f_v, the
-  /// Fig. 3 signal) in the labeled instance. Listeners are
-  /// trajectory-neutral, so labels are unchanged either way.
-  bool collect_histogram = false;
 };
 
 /// One instance with its dual-policy measurements, graph cache, and label.
@@ -36,9 +29,6 @@ struct LabeledInstance {
   std::uint64_t propagations_frequency = 0;
   solver::SatResult result_default = solver::SatResult::kUnknown;
   solver::SatResult result_frequency = solver::SatResult::kUnknown;
-  /// Per-variable propagation counts from the default-policy run; empty
-  /// unless LabelingOptions::collect_histogram is set.
-  std::vector<std::uint64_t> propagation_histogram;
 };
 
 /// Solves `inst` under both policies and assigns the 2%-rule label.

@@ -11,6 +11,11 @@
 namespace ns::core {
 namespace {
 
+/// Priority-head targets: decided within this factor of the winner's ticks.
+constexpr float kNearBest = 1.25f;
+/// Step size of the priority heads' gradient descent.
+constexpr float kHeadLearningRate = 0.5f;
+
 double proxy_seconds(std::uint64_t propagations) {
   return static_cast<double>(propagations) / kProxyPropsPerSecond;
 }
@@ -158,7 +163,7 @@ std::vector<PriorityHead> train_priority_heads(
     targets[i].resize(configs.size(), 0.0f);
     if (label.best >= 0) {
       const double cutoff =
-          static_cast<double>(options.near_best) *
+          static_cast<double>(kNearBest) *
           static_cast<double>(label.ticks[static_cast<std::size_t>(label.best)]);
       for (std::size_t c = 0; c < configs.size(); ++c) {
         if (label.decided[c] && static_cast<double>(label.ticks[c]) <= cutoff) {
@@ -182,7 +187,7 @@ std::vector<PriorityHead> train_priority_heads(
         for (std::size_t k = 0; k < 3; ++k) grad[k] += err * x[k];
       }
       for (std::size_t k = 0; k < 3; ++k) {
-        w[k] -= options.learning_rate * inv_n * grad[k];
+        w[k] -= kHeadLearningRate * inv_n * grad[k];
       }
     }
   }
@@ -223,7 +228,7 @@ InstanceRun run_instance(nn::SatClassifier* model,
   run.name = inst.name;
   run.within_cap = graph::within_node_cap(inst.formula, options.node_cap);
 
-  solver::SolverOptions solver_options = options.base_solver;
+  solver::SolverOptions solver_options;
   solver_options.max_propagations = options.timeout_propagations;
 
   // Baseline: plain Kissat (default deletion policy).

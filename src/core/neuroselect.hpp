@@ -31,9 +31,9 @@ namespace ns::core {
 /// and of Table 3.
 inline constexpr double kProxyPropsPerSecond = 100.0;
 
-/// Options of the end-to-end run.
+/// Options of the end-to-end run; otherwise both solves use
+/// `solver::SolverOptions{}`.
 struct EndToEndOptions {
-  solver::SolverOptions base_solver;      ///< shared non-policy options
   std::uint64_t timeout_propagations = 500'000;  ///< the "5000 s" budget
   std::size_t node_cap = 400'000;  ///< Sec. 5.1 graph-size filter
 };
@@ -147,15 +147,13 @@ PortfolioLabel label_portfolio(
     std::uint64_t slice_ticks, std::uint64_t max_ticks);
 
 /// Priority-head training knobs. A config's target is 1 when it decided
-/// within `near_best` × the winner's ticks (the winner itself always
-/// qualifies), 0 otherwise; heads are fit by full-batch logistic GD —
+/// within 1.25 × the winner's ticks (the winner itself always qualifies),
+/// 0 otherwise; heads are fit by full-batch logistic GD with step 0.5 —
 /// deterministic: no RNG, fixed epoch count.
 struct PriorityTrainOptions {
   std::uint64_t slice_ticks = 20'000;  ///< must match the racer's slices
   std::uint64_t max_ticks = 2'000'000;
-  float near_best = 1.25f;
   std::size_t epochs = 200;
-  float learning_rate = 0.5f;
 };
 
 std::vector<PriorityHead> train_priority_heads(

@@ -10,6 +10,9 @@
 
 namespace ns::core {
 
+/// Cap on the positive class weight min(#neg/#pos, kMaxPosWeight).
+constexpr float kMaxPosWeight = 8.0f;
+
 std::vector<EpochStats> train_classifier(
     nn::SatClassifier& model, const std::vector<LabeledInstance>& train,
     const TrainOptions& options) {
@@ -22,7 +25,7 @@ std::vector<EpochStats> train_classifier(
   const std::size_t neg = train.size() - pos;
   float pos_weight = 1.0f;
   if (pos > 0 && neg > pos) {
-    pos_weight = std::min(options.max_pos_weight,
+    pos_weight = std::min(kMaxPosWeight,
                           static_cast<float>(neg) / static_cast<float>(pos));
   }
 
@@ -45,7 +48,7 @@ std::vector<EpochStats> train_classifier(
   std::vector<EpochStats> history;
   history.reserve(options.epochs);
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    if (options.shuffle) std::shuffle(order.begin(), order.end(), rng);
+    std::shuffle(order.begin(), order.end(), rng);
     double loss_sum = 0.0;
     std::size_t correct = 0;
     for (const std::size_t idx : order) {

@@ -13,16 +13,13 @@
 
 namespace ns::core {
 
-/// Knobs of the training loop.
+/// Knobs of the training loop. Every epoch reshuffles from `seed`, and the
+/// positive BCE term is weighted with min(#neg/#pos, 8) to rebalance classes.
 struct TrainOptions {
   std::size_t epochs = 400;
   float learning_rate = 1e-4f;
-  bool shuffle = true;
   std::uint64_t seed = 7;
   std::size_t log_every = 0;  ///< 0 = silent; otherwise print every k epochs
-  /// Rebalance classes by weighting the positive BCE term with
-  /// min(#neg/#pos, max_pos_weight). Set max_pos_weight = 1 to disable.
-  float max_pos_weight = 8.0f;
 };
 
 /// Per-epoch summary.

@@ -21,32 +21,6 @@ bool beats(const Candidate& a, const Candidate& b) {
   return a.ticks < b.ticks || (a.ticks == b.ticks && a.id < b.id);
 }
 
-/// Folds one per-slice query delta into the engine's race accumulator.
-/// Counters add; `max_trail` is a per-query watermark, so it maxes.
-void accumulate(solver::Statistics& into, const solver::Statistics& d) {
-  into.decisions += d.decisions;
-  into.propagations += d.propagations;
-  into.ticks += d.ticks;
-  into.conflicts += d.conflicts;
-  into.restarts += d.restarts;
-  into.reductions += d.reductions;
-  into.learned_clauses += d.learned_clauses;
-  into.learned_literals += d.learned_literals;
-  into.deleted_clauses += d.deleted_clauses;
-  into.minimized_literals += d.minimized_literals;
-  into.max_trail = std::max(into.max_trail, d.max_trail);
-  into.queries += d.queries;
-  into.garbage_collections += d.garbage_collections;
-  into.ticks_binary += d.ticks_binary;
-  into.ticks_long += d.ticks_long;
-  into.propagations_binary += d.propagations_binary;
-  into.propagations_long += d.propagations_long;
-  into.analyze_ticks += d.analyze_ticks;
-  into.minimize_ticks += d.minimize_ticks;
-  into.decide_ticks += d.decide_ticks;
-  into.reduce_ticks += d.reduce_ticks;
-}
-
 /// Per-engine race bookkeeping, owned by the barrier thread; during a
 /// round each lane body writes only its own entry.
 struct Lane {
@@ -181,7 +155,7 @@ RaceResult PortfolioRacer::run_race(bool all,
                         .ticks = options_.slice_ticks});
         lane.last = eng.solve_with_assumptions(assumptions);
         ++lane.rec.slices;
-        accumulate(lane.rec.stats, lane.last.stats);
+        lane.rec.stats += lane.last.stats;  // fold the slice's query delta
 
         if (options_.eager_cancel &&
             lane.last.result != solver::SatResult::kUnknown) {

@@ -46,11 +46,9 @@ class ClauseView {
 
   bool learned() const { return (base_[2] & kLearnedBit) != 0; }
   bool garbage() const { return (base_[2] & kGarbageBit) != 0; }
-  bool protected_reason() const { return (base_[2] & kProtectedBit) != 0; }
   bool used() const { return (base_[2] & kUsedBit) != 0; }
 
   void set_garbage(bool on) { set_flag(kGarbageBit, on); }
-  void set_protected_reason(bool on) { set_flag(kProtectedBit, on); }
   void set_used(bool on) { set_flag(kUsedBit, on); }
 
   std::uint32_t glue() const { return base_[2] >> kGlueShift; }
@@ -80,7 +78,6 @@ class ClauseView {
   static constexpr std::uint32_t kHeaderWords = 4;
   static constexpr std::uint32_t kLearnedBit = 1u << 0;
   static constexpr std::uint32_t kGarbageBit = 1u << 1;
-  static constexpr std::uint32_t kProtectedBit = 1u << 2;
   static constexpr std::uint32_t kUsedBit = 1u << 3;
   static constexpr std::uint32_t kFlagMask = 0xFFu;
   static constexpr unsigned kGlueShift = 8;
@@ -111,9 +108,6 @@ class ConstClauseView {
 
   bool learned() const { return (base_[2] & ClauseView::kLearnedBit) != 0; }
   bool garbage() const { return (base_[2] & ClauseView::kGarbageBit) != 0; }
-  bool protected_reason() const {
-    return (base_[2] & ClauseView::kProtectedBit) != 0;
-  }
   bool used() const { return (base_[2] & ClauseView::kUsedBit) != 0; }
 
   std::uint32_t glue() const { return base_[2] >> ClauseView::kGlueShift; }

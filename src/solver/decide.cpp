@@ -10,7 +10,6 @@ void Decider::reset(std::size_t num_vars) {
   heap_.clear();
   for (Var v = 0; v < num_vars; ++v) heap_.insert(v);
   phase_.assign(num_vars, 0);
-  rng_.seed(ctx_.options->seed);
   vmtf_init();
 }
 
@@ -97,27 +96,14 @@ void Decider::on_unassign(Var v, LBool erased_value) {
 // NS_HOT(runs once per decision; VSIDS/VMTF heap operations dominate)
 Lit Decider::pick() {
   Var v = kNoVar;
-  if (ctx_.options->random_decision_freq > 0.0) {
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-    if (coin(rng_) < ctx_.options->random_decision_freq) {
-      std::uniform_int_distribution<Var> dist(
-          0, static_cast<Var>(ctx_.num_vars - 1));
-      for (int tries = 0; tries < 16 && v == kNoVar; ++tries) {
-        const Var cand = dist(rng_);
-        if (ctx_.trail.value(cand) == LBool::kUndef) v = cand;
-      }
-    }
-  }
-  if (v == kNoVar) {
-    if (ctx_.options->decision_mode == DecisionMode::kVmtf) {
-      v = vmtf_pick();
-    } else {
-      while (true) {
-        assert(!heap_.empty());
-        ++ctx_.stats.decide_ticks;
-        v = heap_.pop();
-        if (ctx_.trail.value(v) == LBool::kUndef) break;
-      }
+  if (ctx_.options->decision_mode == DecisionMode::kVmtf) {
+    v = vmtf_pick();
+  } else {
+    while (true) {
+      assert(!heap_.empty());
+      ++ctx_.stats.decide_ticks;
+      v = heap_.pop();
+      if (ctx_.trail.value(v) == LBool::kUndef) break;
     }
   }
   return Lit(v, phase_[v] == 0);  // saved phase; initial phase = false

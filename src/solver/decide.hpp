@@ -2,12 +2,11 @@
 /// \file decide.hpp
 /// The decision subsystem: picks branch literals. Owns both decision
 /// heuristics — the EVSIDS activity heap and the VMTF move-to-front queue
-/// (selected by SolverOptions::decision_mode) — plus phase saving and the
-/// seeded random-branch picker. Conflict analysis feeds it variable bumps;
-/// backtracking feeds it unassignments.
+/// (selected by SolverOptions::decision_mode) — plus phase saving.
+/// Conflict analysis feeds it variable bumps; backtracking feeds it
+/// unassignments.
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "cnf/types.hpp"
@@ -65,9 +64,8 @@ class Decider {
   double var_inc_ = 1.0;
   VarHeap heap_;
 
-  // phase saving + random branches
+  // phase saving
   std::vector<std::uint8_t> phase_;  ///< saved phase: 1 = last value true
-  std::mt19937_64 rng_;
 
   // VMTF
   std::vector<Var> vmtf_prev_, vmtf_next_;

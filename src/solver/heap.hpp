@@ -61,10 +61,6 @@ class VarHeap {
     if (contains(v)) sift_up(pos_[v]);
   }
 
-  /// Rebuilds the heap after a global activity rescale (order unchanged, so
-  /// this is a no-op kept for interface clarity).
-  void rescaled() {}
-
   // --- introspection (ns::audit) ----------------------------------------
   const std::vector<Var>& raw_heap() const { return heap_; }
 

@@ -14,7 +14,6 @@ namespace ns::solver {
 enum class RestartMode : std::uint8_t {
   kLuby,        ///< Luby sequence scaled by restart_interval
   kGlucoseEma,  ///< fast/slow LBD exponential moving averages
-  kNone,        ///< never restart (for experiments)
 };
 
 /// Decision-variable selection heuristics.
@@ -27,8 +26,7 @@ enum class DecisionMode : std::uint8_t {
 struct SolverOptions {
   // --- decision heuristic ------------------------------------------------
   DecisionMode decision_mode = DecisionMode::kEvsids;
-  double var_decay = 0.95;          ///< EVSIDS activity decay per conflict
-  double random_decision_freq = 0.0;  ///< fraction of random branches
+  double var_decay = 0.95;  ///< EVSIDS activity decay per conflict
 
   // --- restarts ------------------------------------------------------------
   RestartMode restart_mode = RestartMode::kGlucoseEma;
@@ -73,9 +71,6 @@ struct SolverOptions {
   /// next query) — the allocation-free steady state bench_micro_solver's
   /// counting-allocator window enforces for latency-critical streams.
   bool materialize_results = true;
-
-  // --- determinism -----------------------------------------------------------
-  std::uint64_t seed = 0;  ///< seeds the (rarely used) random branch picker
 };
 
 }  // namespace ns::solver

@@ -1,6 +1,8 @@
 #include "solver/proof.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <climits>
 #include <cstdlib>
 #include <ostream>
 
@@ -38,9 +40,14 @@ bool parse_drat_text(const std::string& text, std::vector<ProofStep>& out) {
     while (cursor < line.size()) {
       while (cursor < line.size() && line[cursor] == ' ') ++cursor;
       if (cursor >= line.size()) break;
+      // One whole int token; INT_MIN has no int magnitude to negate.
+      const char* token = line.c_str() + cursor;
       char* end = nullptr;
-      const long lit = std::strtol(line.c_str() + cursor, &end, 10);
-      if (end == line.c_str() + cursor) return false;  // junk token
+      const long long lit = std::strtoll(token, &end, 10);
+      if (end == token || lit <= INT_MIN || lit > INT_MAX ||
+          (*end != '\0' && !std::isspace(static_cast<unsigned char>(*end)))) {
+        return false;
+      }
       cursor = static_cast<std::size_t>(end - line.c_str());
       if (lit == 0) {
         terminated = true;
@@ -139,6 +146,14 @@ ProofCheckResult verify_unsat_proof(const CnfFormula& formula,
 
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const ProofStep& step = steps[i];
+    for (const Lit l : step.lits) {
+      if (l.var() >= formula.num_vars()) {
+        result.error = "literal " + std::to_string(l.to_dimacs()) +
+                       " names a variable the formula does not have";
+        result.failed_step = i;
+        return result;
+      }
+    }
     if (step.is_delete) {
       if (!db.remove(step.lits)) {
         result.error = "deletion of unknown clause";

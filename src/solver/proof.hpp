@@ -83,13 +83,15 @@ struct ProofCheckResult {
 };
 
 /// Replays `steps` against `formula` and checks that every addition is RUP
-/// and that the proof derives the empty clause.
+/// and that the proof derives the empty clause. A step naming a variable
+/// the formula does not have is refused.
 ProofCheckResult verify_unsat_proof(const CnfFormula& formula,
                                     const std::vector<ProofStep>& steps);
 
 /// Parses a textual DRAT proof (the DratTextWriter format / drat-trim
 /// syntax: optional "d " prefix, DIMACS literals, 0 terminator, "c"
-/// comments). Returns false on malformed input.
+/// comments). Returns false on malformed input, including a literal that
+/// is not a whole `int` token or is INT_MIN.
 bool parse_drat_text(const std::string& text, std::vector<ProofStep>& out);
 
 }  // namespace ns::solver

@@ -5,18 +5,9 @@
 #include <span>
 #include <vector>
 
-namespace ns::solver {
+#include "policy/deletion_policy.hpp"
 
-void ReduceScheduler::reset() {
-  if (policy_ == nullptr) {
-    const SolverOptions& opt = *ctx_.options;
-    policy_ = opt.deletion_policy == policy::PolicyKind::kFrequency
-                  ? std::make_unique<policy::FrequencyPolicy>(
-                        opt.frequency_alpha)
-                  : policy::make_policy(opt.deletion_policy);
-  }
-  next_reduce_conflicts_ = ctx_.options->reduce_interval;
-}
+namespace ns::solver {
 
 void ReduceScheduler::reduce(Propagator& propagator) {
   Statistics& stats = ctx_.stats;
@@ -27,12 +18,12 @@ void ReduceScheduler::reduce(Propagator& propagator) {
 
   // Eq. 2 inputs: f_max over the per-variable counters since last reduce.
   std::uint64_t f_max = 0;
-  const bool track_freq = policy_->needs_frequency();
+  const bool track_freq =
+      opt.deletion_policy == policy::PolicyKind::kFrequency;
   if (track_freq) {
     for (std::uint64_t f : ctx_.freq) f_max = std::max(f_max, f);
   }
-  const double alpha = policy_->frequency_alpha();
-  const double threshold = alpha * static_cast<double>(f_max);
+  const double threshold = opt.frequency_alpha * static_cast<double>(f_max);
 
   struct Candidate {
     ClauseRef ref;
@@ -75,7 +66,8 @@ void ReduceScheduler::reduce(Propagator& propagator) {
       }
       feat.frequency = hot;
     }
-    candidates.push_back(Candidate{ref, policy_->retention_score(feat)});
+    candidates.push_back(
+        Candidate{ref, policy::retention_score(opt.deletion_policy, feat)});
   }
 
   std::sort(candidates.begin(), candidates.end(),

@@ -1,15 +1,13 @@
 #pragma once
 /// \file reduce.hpp
-/// The clause-database reduction subsystem: owns the pluggable
-/// `policy::DeletionPolicy` (the paper's contribution point), the reduce
-/// schedule, and the garbage-collection pass — scoring learned clauses,
-/// deleting the worst fraction, compacting the arena, remapping reasons,
-/// and rebuilding the watch lists.
+/// The clause-database reduction subsystem: the reduce schedule, the
+/// scoring of learned clauses under `SolverOptions::deletion_policy` (the
+/// paper's contribution point, see policy/deletion_policy.hpp), and the
+/// garbage-collection pass — deleting the worst fraction, compacting the
+/// arena, remapping reasons, and rebuilding the watch lists.
 
 #include <cstdint>
-#include <memory>
 
-#include "policy/deletion_policy.hpp"
 #include "solver/context.hpp"
 #include "solver/propagate.hpp"
 
@@ -19,9 +17,8 @@ class ReduceScheduler {
  public:
   explicit ReduceScheduler(SearchContext& ctx) : ctx_(ctx) {}
 
-  /// Re-initializes the schedule (solver reload). The policy is created on
-  /// first use and persists across reloads, matching the old engine.
-  void reset();
+  /// Re-initializes the schedule (solver reload).
+  void reset() { next_reduce_conflicts_ = ctx_.options->reduce_interval; }
 
   bool should_reduce() const {
     return ctx_.stats.conflicts >= next_reduce_conflicts_;
@@ -33,7 +30,6 @@ class ReduceScheduler {
 
  private:
   SearchContext& ctx_;
-  std::unique_ptr<policy::DeletionPolicy> policy_;
   std::uint64_t next_reduce_conflicts_ = 0;
 };
 

@@ -22,10 +22,7 @@ class RestartScheduler {
     ema_slow_ = 0.0;
     conflicts_at_restart_ = 0;
     luby_count_ = 0;
-    next_restart_conflicts_ =
-        ctx_.options->restart_mode == RestartMode::kLuby
-            ? luby(1) * ctx_.options->restart_interval
-            : ctx_.options->restart_interval;
+    next_restart_conflicts_ = ctx_.options->restart_interval;  // luby(1) = 1
   }
 
   /// Glucose EMA coefficients: the fast and slow glue averages, and the
@@ -41,21 +38,16 @@ class RestartScheduler {
   }
 
   bool should_restart() const {
-    switch (ctx_.options->restart_mode) {
-      case RestartMode::kNone:
-        return false;
-      case RestartMode::kLuby:
-        return ctx_.stats.conflicts >= next_restart_conflicts_;
-      case RestartMode::kGlucoseEma: {
-        if (ctx_.stats.conflicts - conflicts_at_restart_ <
-            ctx_.options->restart_interval) {
-          return false;
-        }
-        if (ctx_.stats.conflicts < 128) return false;  // EMA warm-up
-        return ema_fast_ > kRestartMargin * ema_slow_;
-      }
+    if (ctx_.options->restart_mode == RestartMode::kLuby) {
+      return ctx_.stats.conflicts >= next_restart_conflicts_;
     }
-    return false;
+    // Glucose EMA: a minimum gap, a warm-up, then fast glue above slow.
+    if (ctx_.stats.conflicts - conflicts_at_restart_ <
+        ctx_.options->restart_interval) {
+      return false;
+    }
+    if (ctx_.stats.conflicts < 128) return false;  // EMA warm-up
+    return ema_fast_ > kRestartMargin * ema_slow_;
   }
 
   /// Advances the schedule after the solver executed a restart.

@@ -8,9 +8,9 @@
 ///   Propagator       two-watched-literal BCP over a flat watcher arena,
 ///                    binary clauses resolved inline from the watch entry
 ///   Analyzer         first-UIP learning + recursive clause minimization
-///   Decider          EVSIDS heap / VMTF queue, phase saving, random picks
+///   Decider          EVSIDS heap / VMTF queue, phase saving
 ///   RestartScheduler Luby and Glucose-EMA restart policies
-///   ReduceScheduler  pluggable deletion policy + arena GC (paper Sec. 3)
+///   ReduceScheduler  default or frequency deletion + arena GC (paper Sec. 3)
 ///
 /// The Solver class itself is only the orchestration loop: it owns the
 /// context and the subsystems, sequences propagate → analyze → backtrack →
@@ -183,16 +183,6 @@ class Solver {
   std::uint64_t lifetime_max_trail() const {
     return std::max(lifetime_max_trail_, ctx_.stats.max_trail);
   }
-
-  /// Per-variable propagation counts since the last clause-DB reduction
-  /// (the f_v of Eq. 2). Whole-run histograms are collected by attaching a
-  /// `PropagationHistogram` listener instead.
-  const std::vector<std::uint64_t>& propagation_counts_since_reduce() const {
-    return ctx_.freq;
-  }
-
-  /// Number of live learned clauses (for tests/benches).
-  std::size_t num_learned_clauses() const { return ctx_.db.num_learned(); }
 
   const SolverOptions& options() const { return options_; }
 

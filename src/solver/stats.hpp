@@ -11,7 +11,10 @@
 /// query's delta equals the lifetime counters (the snapshot is all-zero),
 /// which keeps single-shot trajectories bit-identical to the golden suite.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace ns::solver {
@@ -89,31 +92,10 @@ struct Statistics {
   /// a counter — the engine re-arms it to the root-trail height at query
   /// begin, so the current value *is* the per-query maximum and is copied
   /// verbatim rather than subtracted.
-  Statistics delta_since(const Statistics& base) const {
-    Statistics d;
-    d.decisions = decisions - base.decisions;
-    d.propagations = propagations - base.propagations;
-    d.ticks = ticks - base.ticks;
-    d.conflicts = conflicts - base.conflicts;
-    d.restarts = restarts - base.restarts;
-    d.reductions = reductions - base.reductions;
-    d.learned_clauses = learned_clauses - base.learned_clauses;
-    d.learned_literals = learned_literals - base.learned_literals;
-    d.deleted_clauses = deleted_clauses - base.deleted_clauses;
-    d.minimized_literals = minimized_literals - base.minimized_literals;
-    d.max_trail = max_trail;  // watermark, see above
-    d.queries = queries - base.queries;
-    d.garbage_collections = garbage_collections - base.garbage_collections;
-    d.ticks_binary = ticks_binary - base.ticks_binary;
-    d.ticks_long = ticks_long - base.ticks_long;
-    d.propagations_binary = propagations_binary - base.propagations_binary;
-    d.propagations_long = propagations_long - base.propagations_long;
-    d.analyze_ticks = analyze_ticks - base.analyze_ticks;
-    d.minimize_ticks = minimize_ticks - base.minimize_ticks;
-    d.decide_ticks = decide_ticks - base.decide_ticks;
-    d.reduce_ticks = reduce_ticks - base.reduce_ticks;
-    return d;
-  }
+  Statistics delta_since(const Statistics& base) const;
+
+  /// Adds every counter of `d`; `max_trail` takes the larger watermark.
+  Statistics& operator+=(const Statistics& d);
 
   /// Deterministic pseudo-seconds: proportional to ticks. The constant is
   /// calibrated so typical suite instances land in a 0..5000 "second" range
@@ -130,5 +112,66 @@ struct Statistics {
            " reductions=" + std::to_string(reductions);
   }
 };
+
+/// One counter of `Statistics`: its `--stats-json` key and its member.
+struct CounterField {
+  const char* name;
+  std::uint64_t Statistics::*member;
+};
+
+/// Every counter of `Statistics`, in `--stats-json` key order. The sums,
+/// deltas and JSON views walk this one list.
+inline constexpr CounterField kCounterFields[] = {
+    {"queries", &Statistics::queries},
+    {"garbage_collections", &Statistics::garbage_collections},
+    {"decisions", &Statistics::decisions},
+    {"propagations", &Statistics::propagations},
+    {"propagations_binary", &Statistics::propagations_binary},
+    {"propagations_long", &Statistics::propagations_long},
+    {"ticks", &Statistics::ticks},
+    {"ticks_binary", &Statistics::ticks_binary},
+    {"ticks_long", &Statistics::ticks_long},
+    {"analyze_ticks", &Statistics::analyze_ticks},
+    {"minimize_ticks", &Statistics::minimize_ticks},
+    {"decide_ticks", &Statistics::decide_ticks},
+    {"reduce_ticks", &Statistics::reduce_ticks},
+    {"conflicts", &Statistics::conflicts},
+    {"restarts", &Statistics::restarts},
+    {"reductions", &Statistics::reductions},
+    {"learned_clauses", &Statistics::learned_clauses},
+    {"learned_literals", &Statistics::learned_literals},
+    {"deleted_clauses", &Statistics::deleted_clauses},
+    {"minimized_literals", &Statistics::minimized_literals},
+    {"max_trail", &Statistics::max_trail},
+};
+
+// Statistics holds only std::uint64_t counters, so distinct entries that
+// fill its size name every one of them.
+static_assert(std::size(kCounterFields) * sizeof(std::uint64_t) ==
+              sizeof(Statistics));
+static_assert([] {
+  for (std::size_t i = 0; i < std::size(kCounterFields); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (kCounterFields[i].member == kCounterFields[j].member) return false;
+    }
+  }
+  return true;
+}());
+
+inline Statistics Statistics::delta_since(const Statistics& base) const {
+  Statistics d;
+  for (const CounterField& c : kCounterFields) {
+    d.*c.member = this->*c.member - base.*c.member;
+  }
+  d.max_trail = max_trail;  // watermark, see the declaration
+  return d;
+}
+
+inline Statistics& Statistics::operator+=(const Statistics& d) {
+  const std::uint64_t peak = std::max(max_trail, d.max_trail);
+  for (const CounterField& c : kCounterFields) this->*c.member += d.*c.member;
+  max_trail = peak;  // watermark: the larger, not the sum
+  return *this;
+}
 
 }  // namespace ns::solver

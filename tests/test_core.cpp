@@ -49,25 +49,6 @@ TEST(LabelingTest, DeterministicAcrossCalls) {
   EXPECT_EQ(a.label, b.label);
 }
 
-TEST(LabelingTest, HistogramCollectionIsTrajectoryNeutral) {
-  const auto mk = [] { return named("x", gen::random_ksat(30, 126, 3, 5)); };
-  LabelingOptions plain;
-  LabelingOptions with_hist;
-  with_hist.collect_histogram = true;
-  const LabeledInstance a = label_instance(mk(), plain);
-  const LabeledInstance b = label_instance(mk(), with_hist);
-  // The listener observes; it must not perturb the measured trajectory.
-  EXPECT_EQ(a.propagations_default, b.propagations_default);
-  EXPECT_EQ(a.propagations_frequency, b.propagations_frequency);
-  EXPECT_EQ(a.label, b.label);
-  EXPECT_TRUE(a.propagation_histogram.empty());
-  ASSERT_EQ(b.propagation_histogram.size(), b.instance.formula.num_vars());
-  // Every propagated assignment of the default run lands in some bucket.
-  std::uint64_t total = 0;
-  for (std::uint64_t c : b.propagation_histogram) total += c;
-  EXPECT_EQ(total, b.propagations_default);
-}
-
 TEST(LabelingTest, PositiveFractionCountsLabels) {
   std::vector<LabeledInstance> data(4);
   data[0].label = 1;

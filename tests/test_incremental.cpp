@@ -419,30 +419,16 @@ TEST(IncrementalTest, QueryDeltasSumToLifetimeTotals) {
   std::uint64_t peak_trail = 0;
   for (int q = 0; q < 8; ++q) {
     const SolveOutcome out = s.solve(stream_assumptions(q, f.num_vars()));
-    sum.decisions += out.stats.decisions;
-    sum.propagations += out.stats.propagations;
-    sum.ticks += out.stats.ticks;
-    sum.conflicts += out.stats.conflicts;
-    sum.restarts += out.stats.restarts;
-    sum.reductions += out.stats.reductions;
-    sum.learned_clauses += out.stats.learned_clauses;
-    sum.learned_literals += out.stats.learned_literals;
-    sum.deleted_clauses += out.stats.deleted_clauses;
-    sum.queries += out.stats.queries;
+    sum += out.stats;
     peak_trail = std::max(peak_trail, out.stats.max_trail);
     EXPECT_EQ(out.stats.queries, 1u);
   }
+  EXPECT_EQ(sum.max_trail, peak_trail);
   const Statistics& life = s.stats();
-  EXPECT_EQ(sum.decisions, life.decisions);
-  EXPECT_EQ(sum.propagations, life.propagations);
-  EXPECT_EQ(sum.ticks, life.ticks);
-  EXPECT_EQ(sum.conflicts, life.conflicts);
-  EXPECT_EQ(sum.restarts, life.restarts);
-  EXPECT_EQ(sum.reductions, life.reductions);
-  EXPECT_EQ(sum.learned_clauses, life.learned_clauses);
-  EXPECT_EQ(sum.learned_literals, life.learned_literals);
-  EXPECT_EQ(sum.deleted_clauses, life.deleted_clauses);
-  EXPECT_EQ(sum.queries, life.queries);
+  for (const CounterField& c : kCounterFields) {
+    if (c.member == &Statistics::max_trail) continue;
+    EXPECT_EQ(sum.*c.member, life.*c.member) << c.name;
+  }
   // max_trail is a per-query watermark; the lifetime peak is tracked
   // separately and must dominate every query's peak.
   EXPECT_GE(s.lifetime_max_trail(), peak_trail);

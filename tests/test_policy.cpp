@@ -2,6 +2,7 @@
 
 #include "policy/deletion_policy.hpp"
 #include "policy/score.hpp"
+#include "solver/options.hpp"
 
 namespace ns::policy {
 namespace {
@@ -94,26 +95,10 @@ INSTANTIATE_TEST_SUITE_P(
         FeaturePair{{1, 1, 0}, {1, 2, 0}}, FeaturePair{{30, 60, 0}, {30, 59, 0}},
         FeaturePair{{0, 0, 0}, {0, 1, 0}}, FeaturePair{{7, 3, 0}, {6, 3, 0}}));
 
-// --- policy objects --------------------------------------------------------
-
-TEST(DeletionPolicyTest, FactoryProducesRequestedKinds) {
-  const auto d = make_policy(PolicyKind::kDefault);
-  const auto f = make_policy(PolicyKind::kFrequency);
-  EXPECT_EQ(d->kind(), PolicyKind::kDefault);
-  EXPECT_EQ(f->kind(), PolicyKind::kFrequency);
-  EXPECT_EQ(d->name(), "default");
-  EXPECT_EQ(f->name(), "frequency");
-}
-
-TEST(DeletionPolicyTest, OnlyFrequencyPolicyNeedsCounters) {
-  EXPECT_FALSE(make_policy(PolicyKind::kDefault)->needs_frequency());
-  EXPECT_TRUE(make_policy(PolicyKind::kFrequency)->needs_frequency());
-}
+// --- policy selection ------------------------------------------------------
 
 TEST(DeletionPolicyTest, AlphaDefaultsToFourFifths) {
-  EXPECT_DOUBLE_EQ(make_policy(PolicyKind::kFrequency)->frequency_alpha(), 0.8);
-  FrequencyPolicy custom(0.5);
-  EXPECT_DOUBLE_EQ(custom.frequency_alpha(), 0.5);
+  EXPECT_DOUBLE_EQ(solver::SolverOptions{}.frequency_alpha, 0.8);
 }
 
 TEST(DeletionPolicyTest, KindFromNameRoundTrips) {
@@ -124,9 +109,8 @@ TEST(DeletionPolicyTest, KindFromNameRoundTrips) {
 
 TEST(DeletionPolicyTest, RetentionScoreDelegatesToPacking) {
   const ClauseFeatures f{.glue = 5, .size = 8, .frequency = 2};
-  EXPECT_EQ(make_policy(PolicyKind::kDefault)->retention_score(f),
-            pack_default_score(f));
-  EXPECT_EQ(make_policy(PolicyKind::kFrequency)->retention_score(f),
+  EXPECT_EQ(retention_score(PolicyKind::kDefault, f), pack_default_score(f));
+  EXPECT_EQ(retention_score(PolicyKind::kFrequency, f),
             pack_frequency_score(f));
 }
 

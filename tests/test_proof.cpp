@@ -121,6 +121,50 @@ TEST(ProofTest, MissingEmptyClauseIsRejected) {
   EXPECT_NE(check.error.find("empty clause"), std::string::npos);
 }
 
+// Literals outside the formula or outside `int` are refused, never
+// indexed: each of these proofs crashed the checker or was accepted.
+TEST(ProofTest, VariableBeyondFormulaIsRefused) {
+  CnfFormula f(2);  // p cnf 2 2 / 1 2 0 / -1 2 0
+  f.add_clause({Lit(0, false), Lit(1, false)});
+  f.add_clause({Lit(0, true), Lit(1, false)});
+  std::vector<ProofStep> steps;
+  ASSERT_TRUE(parse_drat_text("5000 0\n", steps));
+  const ProofCheckResult check = verify_unsat_proof(f, steps);
+  EXPECT_FALSE(check.ok);
+  EXPECT_EQ(check.failed_step, 0u);
+  EXPECT_NE(check.error.find("5000"), std::string::npos);
+
+  // A deletion naming such a variable is refused the same way.
+  const ProofCheckResult del =
+      verify_unsat_proof(f, {ProofStep{true, {Lit(7, false)}}});
+  EXPECT_FALSE(del.ok);
+  EXPECT_EQ(del.failed_step, 0u);
+}
+
+TEST(DratParseTest, LiteralsOutsideIntAreMalformed) {
+  std::vector<ProofStep> steps;
+  EXPECT_FALSE(parse_drat_text("-2147483648 0\n", steps));
+  EXPECT_FALSE(parse_drat_text("99999999999 0\n", steps));
+  EXPECT_FALSE(parse_drat_text("2147483648 0\n", steps));
+  // 2^32 + 2 used to truncate to the literal 2.
+  EXPECT_FALSE(parse_drat_text("4294967298 0\n0\n", steps));
+  EXPECT_FALSE(parse_drat_text("d 1 -4294967298 0\n", steps));
+}
+
+TEST(DratParseTest, TokenMustBeOneWholeInt) {
+  std::vector<ProofStep> steps;
+  EXPECT_FALSE(parse_drat_text("1-2 0\n", steps));
+  EXPECT_FALSE(parse_drat_text("1 2x 0\n", steps));
+  // The int extremes that do name a variable, and CRLF line ends, parse.
+  ASSERT_TRUE(
+      parse_drat_text("2147483647 -2147483647 0\r\nd 1 0\n0\n", steps));
+  ASSERT_EQ(steps.size(), 3u);
+  EXPECT_EQ(steps[0].lits[0].to_dimacs(), 2147483647);
+  EXPECT_EQ(steps[0].lits[1].to_dimacs(), -2147483647);
+  EXPECT_TRUE(steps[1].is_delete);
+  EXPECT_TRUE(steps[2].lits.empty());
+}
+
 TEST(DratWriterTest, EmitsStandardSyntax) {
   std::ostringstream os;
   DratTextWriter writer(os);

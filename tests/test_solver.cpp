@@ -233,8 +233,6 @@ INSTANTIATE_TEST_SUITE_P(
         SolverConfig{policy::PolicyKind::kFrequency, DecisionMode::kVmtf,
                      RestartMode::kGlucoseEma, "frequency-vmtf-ema"},
         SolverConfig{policy::PolicyKind::kDefault, DecisionMode::kEvsids,
-                     RestartMode::kNone, "default-evsids-norestart"},
-        SolverConfig{policy::PolicyKind::kDefault, DecisionMode::kEvsids,
                      RestartMode::kLuby, "default-evsids-luby"}),
     [](const ::testing::TestParamInfo<SolverConfig>& info) {
       std::string s = info.param.label;

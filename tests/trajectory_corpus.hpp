@@ -42,44 +42,29 @@ trajectory_configs() {
   base.reduce_interval = 40;   // force several reductions per solve
   base.restart_interval = 16;  // and several restarts
 
-  {
-    solver::SolverOptions o = base;
-    o.seed = 1;
-    out.emplace_back("evsids_ema_default", o);
-  }
+  out.emplace_back("evsids_ema_default", base);
   {
     solver::SolverOptions o = base;
     o.decision_mode = DecisionMode::kEvsids;
     o.restart_mode = RestartMode::kLuby;
     o.deletion_policy = policy::PolicyKind::kFrequency;
-    o.seed = 2;
     out.emplace_back("evsids_luby_frequency", o);
   }
   {
     solver::SolverOptions o = base;
     o.decision_mode = DecisionMode::kVmtf;
     o.restart_mode = RestartMode::kLuby;
-    o.seed = 3;
     out.emplace_back("vmtf_luby_default", o);
   }
   {
     solver::SolverOptions o = base;
     o.decision_mode = DecisionMode::kVmtf;
     o.deletion_policy = policy::PolicyKind::kFrequency;
-    o.seed = 4;
     out.emplace_back("vmtf_ema_frequency", o);
   }
   {
     solver::SolverOptions o = base;
-    o.restart_mode = RestartMode::kNone;
-    o.random_decision_freq = 0.05;  // exercises the seeded RNG branch
-    o.seed = 5;
-    out.emplace_back("evsids_none_random", o);
-  }
-  {
-    solver::SolverOptions o = base;
     o.preprocess = true;
-    o.seed = 6;
     out.emplace_back("evsids_ema_preprocess", o);
   }
   return out;

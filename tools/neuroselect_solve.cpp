@@ -141,31 +141,10 @@ const char* result_name(ns::solver::SatResult r) {
 /// The counter block shared by the aggregate and per-engine JSON views.
 void write_counter_fields(std::FILE* f, const ns::solver::Statistics& s,
                           const char* indent) {
-  const auto field = [&](const char* name, std::uint64_t v) {
-    std::fprintf(f, "%s\"%s\": %llu,\n", indent, name,
-                 static_cast<unsigned long long>(v));
-  };
-  field("queries", s.queries);
-  field("garbage_collections", s.garbage_collections);
-  field("decisions", s.decisions);
-  field("propagations", s.propagations);
-  field("propagations_binary", s.propagations_binary);
-  field("propagations_long", s.propagations_long);
-  field("ticks", s.ticks);
-  field("ticks_binary", s.ticks_binary);
-  field("ticks_long", s.ticks_long);
-  field("analyze_ticks", s.analyze_ticks);
-  field("minimize_ticks", s.minimize_ticks);
-  field("decide_ticks", s.decide_ticks);
-  field("reduce_ticks", s.reduce_ticks);
-  field("conflicts", s.conflicts);
-  field("restarts", s.restarts);
-  field("reductions", s.reductions);
-  field("learned_clauses", s.learned_clauses);
-  field("learned_literals", s.learned_literals);
-  field("deleted_clauses", s.deleted_clauses);
-  field("minimized_literals", s.minimized_literals);
-  field("max_trail", s.max_trail);
+  for (const ns::solver::CounterField& c : ns::solver::kCounterFields) {
+    std::fprintf(f, "%s\"%s\": %llu,\n", indent, c.name,
+                 static_cast<unsigned long long>(s.*c.member));
+  }
   std::fprintf(f, "%s\"proxy_seconds\": %.6f\n", indent, s.proxy_seconds());
 }
 
