@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "gen/circuit.hpp"
 
@@ -38,6 +40,12 @@ Clause random_polarity_clause(const std::vector<Var>& vars,
 
 CnfFormula random_ksat(std::size_t num_vars, std::size_t num_clauses,
                        std::size_t k, std::uint64_t seed) {
+  // Checked in every build: the sampler below would never return.
+  if (k == 0 || k > num_vars) {
+    throw std::invalid_argument("random_ksat: k = " + std::to_string(k) +
+                                " needs 1 <= k <= num_vars = " +
+                                std::to_string(num_vars));
+  }
   std::mt19937_64 rng(seed);
   CnfFormula f(num_vars);
   std::size_t added = 0;
@@ -104,7 +112,10 @@ CnfFormula graph_coloring(std::size_t num_vertices, double edge_prob,
 
 CnfFormula xor_chain(std::size_t length, bool contradictory,
                      std::uint64_t seed) {
-  assert(length >= 2);
+  if (length < 2) {
+    throw std::invalid_argument("xor_chain: length " + std::to_string(length) +
+                                " is below 2");
+  }
   std::mt19937_64 rng(seed);
   std::bernoulli_distribution coin(0.5);
   CnfFormula f(length);
@@ -164,6 +175,9 @@ CnfFormula community_sat(std::size_t num_vars, std::size_t num_clauses,
 
 CnfFormula parity_equivalence(std::size_t width, bool inject_bug,
                               std::uint64_t seed) {
+  if (width == 0) {
+    throw std::invalid_argument("parity_equivalence: width 0 has no parity");
+  }
   const Circuit lhs = parity_chain(width);
   const Circuit rhs = parity_tree(width, inject_bug);
   return scramble(miter_cnf(lhs, rhs), seed);

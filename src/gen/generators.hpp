@@ -20,7 +20,8 @@
 namespace ns::gen {
 
 /// Uniform random k-SAT: `num_clauses` clauses of `k` distinct variables
-/// with independent random polarities.
+/// with independent random polarities. Throws std::invalid_argument unless
+/// 1 <= k <= num_vars.
 CnfFormula random_ksat(std::size_t num_vars, std::size_t num_clauses,
                        std::size_t k, std::uint64_t seed);
 
@@ -37,7 +38,8 @@ CnfFormula graph_coloring(std::size_t num_vertices, double edge_prob,
 /// Chain of XOR constraints x_i XOR x_{i+1} = b_i plus unit pins on the two
 /// endpoints, Tseitin-encoded into 2-clauses... each XOR constraint over two
 /// variables expands to 2 CNF clauses. `contradictory` forces UNSAT by
-/// pinning endpoints inconsistently with the accumulated parity.
+/// pinning endpoints inconsistently with the accumulated parity. Throws
+/// std::invalid_argument when `length` is below 2.
 CnfFormula xor_chain(std::size_t length, bool contradictory,
                      std::uint64_t seed);
 
@@ -59,6 +61,7 @@ CnfFormula adder_equivalence(std::size_t bits, bool inject_bug,
 /// `width` inputs. UNSAT when `inject_bug` is false. XOR miters are hard
 /// for resolution, so these instances accumulate many learned clauses and
 /// undergo many DB reductions — the regime where deletion policies matter.
+/// Throws std::invalid_argument when `width` is 0.
 CnfFormula parity_equivalence(std::size_t width, bool inject_bug,
                               std::uint64_t seed);
 

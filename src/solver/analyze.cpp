@@ -86,7 +86,6 @@ void Analyzer::analyze(Decider& decider, ClauseRef conflict,
   do {
     ClauseView c = ctx_.db.view(cr);
     if (c.learned()) {
-      ctx_.bump_clause(c);
       c.set_used(true);
       // Glucose-style dynamic LBD refresh: keep the smallest observed glue.
       // compute_glue scores the clause view in place — no copy.

@@ -10,10 +10,9 @@
 ///           strides over `extent`, so shrinking a clause in place leaves
 ///           traversal intact — the freed slack is reclaimed by the next
 ///           `garbage_collect`.
-///   word 2: flags  — bit 0 learned, bit 1 garbage, bit 2 reason-protected,
+///   word 2: flags  — bit 0 learned, bit 1 garbage,
 ///                    bit 3 used-since-last-reduce; glue (LBD) in bits 8..31
-///   word 3: activity (float, bit-cast)
-///   word 4..4+size-1: literal codes (slots size..extent-1 are dead slack)
+///   word 3..3+size-1: literal codes (slots size..extent-1 are dead slack)
 ///
 /// Garbage collection is a compacting copy: callers first mark clauses
 /// garbage, then run `garbage_collect`, then remap every stored ClauseRef
@@ -23,7 +22,6 @@
 /// dead fraction of the arena reaches `frac`, so long-lived incremental
 /// engines can batch many deletions into one relocation pass.
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -56,9 +54,6 @@ class ClauseView {
     base_[2] = (base_[2] & kFlagMask) | (g << kGlueShift);
   }
 
-  float activity() const { return std::bit_cast<float>(base_[3]); }
-  void set_activity(float a) { base_[3] = std::bit_cast<std::uint32_t>(a); }
-
   Lit lit(std::uint32_t i) const {
     assert(i < size());
     return Lit::from_code(base_[kHeaderWords + i]);
@@ -75,7 +70,7 @@ class ClauseView {
   }
   const Lit* end() const { return begin() + size(); }
 
-  static constexpr std::uint32_t kHeaderWords = 4;
+  static constexpr std::uint32_t kHeaderWords = 3;
   static constexpr std::uint32_t kLearnedBit = 1u << 0;
   static constexpr std::uint32_t kGarbageBit = 1u << 1;
   static constexpr std::uint32_t kUsedBit = 1u << 3;
@@ -111,7 +106,6 @@ class ConstClauseView {
   bool used() const { return (base_[2] & ClauseView::kUsedBit) != 0; }
 
   std::uint32_t glue() const { return base_[2] >> ClauseView::kGlueShift; }
-  float activity() const { return std::bit_cast<float>(base_[3]); }
 
   Lit lit(std::uint32_t i) const {
     assert(i < size());
@@ -144,7 +138,6 @@ class ClauseDb {
     data_.push_back(static_cast<std::uint32_t>(lits.size()));  // extent
     data_.push_back((learned ? ClauseView::kLearnedBit : 0u) |
                     (glue << ClauseView::kGlueShift));
-    data_.push_back(std::bit_cast<std::uint32_t>(0.0f));
     for (Lit l : lits) data_.push_back(l.code());
     if (learned) ++num_learned_;
     ++num_clauses_;

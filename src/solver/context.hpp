@@ -29,7 +29,6 @@ struct SearchContext {
 
   /// Live learned-clause references, in learning order (remapped after GC).
   std::vector<ClauseRef> learned;
-  float cla_inc = 1.0f;  ///< clause-activity bump amount
 
   /// Per-variable propagation counters since the last reduction — the f_v
   /// window of paper Eq. 2. Incremented by enqueue, consumed by the reduce
@@ -49,7 +48,6 @@ struct SearchContext {
     trail.reset(n);
     stats = Statistics{};
     learned.clear();
-    cla_inc = 1.0f;
     freq.assign(n, 0);
   }
 
@@ -94,19 +92,6 @@ struct SearchContext {
       if (fwd != kInvalidClause) live.push_back(fwd);
     }
     learned = std::move(live);
-  }
-
-  /// Bumps a learned clause's activity, rescaling all learned activities
-  /// when the bump amount overflows the float range.
-  void bump_clause(ClauseView c) {
-    c.set_activity(c.activity() + cla_inc);
-    if (c.activity() > 1e20f) {
-      for (ClauseRef ref : learned) {
-        ClauseView lc = db.view(ref);
-        lc.set_activity(lc.activity() * 1e-20f);
-      }
-      cla_inc *= 1e-20f;
-    }
   }
 };
 

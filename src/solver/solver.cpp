@@ -274,16 +274,13 @@ SolveOutcome Solver::solve_with_assumptions(
         const ClauseRef ref = ctx_.db.add(learned, /*learned=*/true, glue);
         ctx_.learned.push_back(ref);
         propagator_.attach(ref);
-        ClauseView c = ctx_.db.view(ref);
-        ctx_.bump_clause(c);
-        c.set_used(true);
+        ctx_.db.view(ref).set_used(true);
         ctx_.enqueue(learned[0], ref);
       }
       ++stats.learned_clauses;
       stats.learned_literals += learned.size();
 
       decider_.decay();
-      ctx_.cla_inc *= 1.001f;
 
       // Restart bookkeeping (Glucose EMAs over learned-clause glue).
       restarts_.on_conflict(glue);

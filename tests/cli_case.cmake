@@ -1,7 +1,8 @@
-# ctest case: one neuroselect_solve invocation and its expected outcome.
+# ctest case: one neuroselect_solve (or gen_cnf) invocation and its expected
+# outcome.
 #
 # Writes a two-variable satisfiable CNF into WORKDIR, runs the solver on it
-# with ARGS and asserts that
+# with ARGS (or, with NO_INSTANCE, runs SOLVE on ARGS alone) and asserts that
 #   (a) the run exits with EXPECT_EXIT,
 #   (b) stderr matches EXPECT_ERROR and stdout matches EXPECT_OUTPUT (each
 #       checked only when given), and
@@ -9,7 +10,8 @@
 #       a recovering UBSan build prints, so it fails the case at any exit.
 #
 # Variables (passed via -D): SOLVE, WORKDIR, ARGS (a ;-list), EXPECT_EXIT,
-# and optionally EXPECT_ERROR and EXPECT_OUTPUT (regexes).
+# and optionally EXPECT_ERROR and EXPECT_OUTPUT (regexes) and NO_INSTANCE.
+# A run still going after 60 s fails the case (a hang is a failure).
 
 foreach(required SOLVE WORKDIR EXPECT_EXIT)
   if(NOT DEFINED ${required})
@@ -18,13 +20,18 @@ foreach(required SOLVE WORKDIR EXPECT_EXIT)
 endforeach()
 
 file(MAKE_DIRECTORY ${WORKDIR})
-file(WRITE ${WORKDIR}/instance.cnf "p cnf 2 2\n1 2 0\n-1 2 0\n")
+set(instance)
+if(NOT NO_INSTANCE)
+  set(instance ${WORKDIR}/instance.cnf)
+  file(WRITE ${instance} "p cnf 2 2\n1 2 0\n-1 2 0\n")
+endif()
 
-execute_process(COMMAND ${SOLVE} ${ARGS} ${WORKDIR}/instance.cnf
+execute_process(COMMAND ${SOLVE} ${ARGS} ${instance}
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
-  RESULT_VARIABLE res)
-message(STATUS "neuroselect_solve exit ${res}\n${out}${err}")
+  RESULT_VARIABLE res
+  TIMEOUT 60)
+message(STATUS "exit ${res}\n${out}${err}")
 
 if(NOT res EQUAL EXPECT_EXIT)
   message(FATAL_ERROR "cli_case: expected exit ${EXPECT_EXIT}, got ${res}")

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "brute_force.hpp"
 #include "gen/circuit.hpp"
 #include "gen/dataset.hpp"
@@ -34,6 +36,17 @@ TEST(RandomKsatTest, DifferentSeedsDiffer) {
     any_diff = a.clause(i) != b.clause(i);
   }
   EXPECT_TRUE(any_diff);
+}
+
+// An impossible shape is refused in every build instead of sampling
+// forever (or reading past the inputs of an empty circuit).
+TEST(RandomKsatTest, RefusesKOutsideOneToNumVars) {
+  EXPECT_THROW(random_ksat(3, 5, 7, 1), std::invalid_argument);
+  EXPECT_THROW(random_ksat(3, 5, 0, 1), std::invalid_argument);
+  EXPECT_THROW(random_ksat(0, 0, 1, 1), std::invalid_argument);
+  EXPECT_EQ(random_ksat(3, 5, 3, 1).num_clauses(), 5u);
+  EXPECT_THROW(xor_chain(1, false, 1), std::invalid_argument);
+  EXPECT_THROW(parity_equivalence(0, false, 1), std::invalid_argument);
 }
 
 // --- pigeonhole -------------------------------------------------------------

@@ -46,13 +46,6 @@ TEST(ClauseDbTest, FlagsAreIndependent) {
   EXPECT_FALSE(c.used());
 }
 
-TEST(ClauseDbTest, ActivityRoundTripsThroughBitCast) {
-  ClauseDb db;
-  ClauseView c = db.view(db.add(lits({1, 2}), true, 1));
-  c.set_activity(3.25f);
-  EXPECT_FLOAT_EQ(c.activity(), 3.25f);
-}
-
 TEST(ClauseDbTest, CountsTrackLearnedAndGarbage) {
   ClauseDb db;
   const ClauseRef a = db.add(lits({1, 2}), false, 0);
@@ -103,14 +96,12 @@ TEST(ClauseDbTest, ForEachSkipsGarbage) {
 TEST(ClauseDbTest, ConstAccessUsesReadOnlyViews) {
   ClauseDb db;
   const ClauseRef r = db.add(lits({1, -2, 3}), true, 4);
-  db.view(r).set_activity(0.5f);
 
   const ClauseDb& cdb = db;
   ConstClauseView c = cdb.view(r);
   EXPECT_EQ(c.size(), 3u);
   EXPECT_TRUE(c.learned());
   EXPECT_EQ(c.glue(), 4u);
-  EXPECT_FLOAT_EQ(c.activity(), 0.5f);
   EXPECT_EQ(c.lit(1), Lit::from_dimacs(-2));
   EXPECT_EQ(c.end() - c.begin(), 3);
 

@@ -32,9 +32,10 @@
 ///                                  the classifier-ranked subset, the whole
 ///                                  portfolio, or only config 0
 ///     --portfolio-slice <n>        racer tick-slice size (default 20000)
-///     --model <file>               classifier parameters for
+///     --model <file>               classifier parameters (nsweights) for
 ///                                  --portfolio-select classifier (untrained
-///                                  analytic ranking when omitted)
+///                                  analytic ranking when omitted). This flag
+///                                  and the two above need --portfolio
 ///     --stats-json <file>          write the full counter set as JSON
 ///                                  ("-" for stdout); when racing, a
 ///                                  "portfolio" object nests winner id,
@@ -55,11 +56,8 @@
 /// 0 unknown, 1 usage/parse error. Numeric flag values must be a whole
 /// unsigned integer (<n>, <k>) or a finite non-negative number (<f>).
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -73,6 +71,7 @@
 #include "cnf/dimacs.hpp"
 #include "nn/models.hpp"
 #include "nn/serialize.hpp"
+#include "parse_number.hpp"
 #include "portfolio/racer.hpp"
 #include "portfolio/select.hpp"
 #include "solver/proof.hpp"
@@ -81,6 +80,7 @@
 namespace {
 
 using ns::Lit;
+using ns::tools::parse_number;
 
 void usage(const char* prog) {
   std::fprintf(stderr,
@@ -94,22 +94,6 @@ void usage(const char* prog) {
                "[--stats-json file] [--audit] [--progress] "
                "[--quiet] <input.cnf>\n",
                prog);
-}
-
-/// The one strict parser for numeric flag values: the whole token must be
-/// an integer in T's range (integral T; no '+', and '-' only for signed T)
-/// or a finite non-negative number (floating-point T). Trailing text,
-/// overflow, inf and nan all yield nullopt.
-template <typename T>
-std::optional<T> parse_number(const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [stop, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || stop != end) return std::nullopt;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value) || value < 0) return std::nullopt;
-  }
-  return value;
 }
 
 /// Engine-hook consumer: live search progress as "c" comment lines.
@@ -291,6 +275,8 @@ int main(int argc, char** argv) {
   ns::portfolio::SelectMode portfolio_mode = ns::portfolio::SelectMode::kFixed;
   std::uint64_t portfolio_slice = 20'000;
   std::string model_path;
+  bool portfolio_select_given = false;
+  bool portfolio_slice_given = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -371,6 +357,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--portfolio") {
       number(portfolio_k);
     } else if (arg == "--portfolio-select") {
+      portfolio_select_given = true;
       const std::string mode = next();
       if (mode == "classifier") {
         portfolio_mode = ns::portfolio::SelectMode::kClassifier;
@@ -384,6 +371,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (arg == "--portfolio-slice") {
+      portfolio_slice_given = true;
       number(portfolio_slice);
     } else if (arg == "--model") {
       model_path = next();
@@ -452,9 +440,10 @@ int main(int argc, char** argv) {
     std::unique_ptr<ns::nn::NeuroSelectModel> model;
     if (!model_path.empty()) {
       model = std::make_unique<ns::nn::NeuroSelectModel>();
-      if (!ns::nn::load_parameters(*model, model_path)) {
-        std::fprintf(stderr, "c cannot load model parameters from %s\n",
-                     model_path.c_str());
+      std::string why;
+      if (!ns::nn::load_parameters(*model, model_path, &why)) {
+        std::fprintf(stderr, "c cannot load model parameters from %s: %s\n",
+                     model_path.c_str(), why.c_str());
         return 1;
       }
     }
@@ -500,6 +489,23 @@ int main(int argc, char** argv) {
       return 1;
     }
     return print_answer(race.result, race.model, core, race.why, quiet);
+  }
+
+  // The single-engine path runs no classifier and no racer, so the flags
+  // only a race reads are refused instead of ignored.
+  const struct {
+    bool given;
+    const char* flag;
+  } race_only[] = {
+      {!model_path.empty(), "--model"},
+      {portfolio_select_given, "--portfolio-select"},
+      {portfolio_slice_given, "--portfolio-slice"},
+  };
+  for (const auto& r : race_only) {
+    if (r.given) {
+      std::fprintf(stderr, "c %s needs --portfolio\n", r.flag);
+      return 1;
+    }
   }
 
   ns::solver::Solver solver(options);
